@@ -2,62 +2,43 @@
  * @file
  * Decision-loop latency microbenchmark: per-interval proxy-model
  * update (fit) and acquisition-maximization cost as the training set
- * and the candidate set grow, measured across the engine's decision
- * paths:
+ * grows, measured across the engine's decision paths:
  *
- *   full     - the pre-optimization behavior (EngineOptions::
- *              incremental = false: every update refactorizes from
- *              scratch, O(n^3)) with the acquisition loop predicting
- *              one candidate at a time, exactly as suggestIndex()
- *              used to;
- *   fast     - the incremental default (rank-1 Cholesky appends,
- *              O(n^2)) with batched, screened suggestIndex();
- *   windowed - fast plus a bounded history (max_history = 200):
- *              rank-1 downdate-evict + rank-1 append keeps the
- *              per-interval fit O(W^2) no matter how long the
- *              stream runs;
- *   approx   - the inducing-point sparse regression (approx = true,
- *              32 inducing points) in its operating configuration:
- *              UCB acquisition and a fixed candidate lattice scored
- *              through the candidate cache (cross-covariance block
- *              cached by content hash, variances maintained across
- *              rank-1 Gram changes by journaled Sherman-Morrison
- *              corrections), for sub-millisecond decisions at sample
- *              counts and candidate counts the exact paths cannot
- *              reach.
+ *   full - the pre-optimization behavior (EngineOptions::
+ *          incremental = false: every update refactorizes from
+ *          scratch, O(n^3)) with the acquisition loop predicting one
+ *          candidate at a time, exactly as suggestIndex() used to;
+ *   fast - the incremental default (rank-1 Cholesky appends, O(n^2))
+ *          with batched suggestIndex(), on the same synthetic
+ *          10-dim inputs and 64 candidates as full;
+ *   prod - the fast path at the shape the shipped controller runs:
+ *          5 jobs x 3 resources = 15 dims, the controller's default
+ *          EngineOptions, n in {16, 32, 64} samples refit through
+ *          setSamples() as the controller does, and one round of
+ *          CandidateGenerator output (~340 candidates).
  *
- * full/fast/windowed cells build a fresh engine per trial and time
- * one decision interval at exactly n samples. approx cells instead
- * run ONE engine through warmup + trials consecutive decision
- * intervals against the same candidate lattice - the decision loop's
- * actual shape - so the gate covers the cached steady state; warmup
- * absorbs the first decision, which pays the full kernel + solve
- * cache build (about the uncached batched-scoring cost).
- *
- * full/fast/windowed produce bit-identical decisions (tests pin
- * screened == dense argmax and evict-append byte-stability); approx
- * trades exactness for latency, so this bench also measures its
- * prediction RMSE against the exact GP on held-out queries and gates
- * it, keeping the speed/accuracy trade visible in CI.
+ * Every cell builds a fresh engine per trial and times one decision
+ * interval at exactly n samples. full and fast produce bit-identical
+ * decisions (perf_path_test pins it).
  *
  * Emits BENCH_decision_latency.json; --check enforces, against the
  * checked-in baseline:
  *   - fit p95 speedup (full/fast at n=200)  >= 5x   (machine-free)
- *   - windowed fit p95 at n=1000            <  1 ms (absolute)
- *   - approx total p95 at n=1000, every C   <  1 ms (absolute)
- *   - approx mean RMSE vs exact             <= 0.25 (absolute)
  *   - every measured (path, n, candidates) present in the baseline -
  *     missing keys are listed and fail the check, so growing the
  *     matrix forces a baseline regeneration instead of silently
  *     skipping the new cells
- *   - fast/windowed/approx total p95 within 3x of baseline per cell
+ *   - fast/prod total p95 within 3x of baseline per cell
+ *
+ * Regenerate the baseline from a Release build with
+ *   build/bench/bench_decision_latency --full \
+ *       --json BENCH_decision_latency.json
  *
  * Timing uses obs::steadyNowNs(), the library's one sanctioned
  * steady-clock entry point; nothing measured here feeds back into
  * decisions.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -67,17 +48,17 @@
 #include <vector>
 
 #include "satori/satori.hpp"
-#include "satori/bo/approx_gp.hpp"
 #include "satori/obs/tracer.hpp"
 
 using namespace satori;
 
 namespace {
 
+/** Input dimensionality of the synthetic full/fast cells. */
 constexpr std::size_t kDims = 10;
-constexpr std::size_t kWindow = 200;
-constexpr std::size_t kInducing = 32;
-constexpr double kMsNs = 1e6;
+
+/** Jobs in the production-shape cells (x 3 resources = 15 dims). */
+constexpr std::size_t kProdJobs = 5;
 
 struct PathStats
 {
@@ -95,7 +76,6 @@ struct Point
     double fit_p50 = 0.0, fit_p95 = 0.0;
     double acq_p50 = 0.0, acq_p95 = 0.0;
     double total_p50 = 0.0, total_p95 = 0.0;
-    double pruned_frac = 0.0;
 };
 
 /** One cell of the measurement matrix. */
@@ -103,11 +83,11 @@ struct Cell
 {
     const char* path;
     std::size_t n;
-    std::size_t candidates;
+    std::size_t candidates; ///< 0 for prod: one CandidateGenerator round.
 };
 
 const Cell kCells[] = {
-    // Legacy cells: the machine-independent full/fast speedup gate.
+    // Synthetic cells: the machine-independent full/fast speedup gate.
     {"full", 25, 64},
     {"full", 50, 64},
     {"full", 100, 64},
@@ -116,21 +96,11 @@ const Cell kCells[] = {
     {"fast", 50, 64},
     {"fast", 100, 64},
     {"fast", 200, 64},
-    // Exact path at enlarged candidate sets (benchmarked, not gated:
-    // the O(n^2)-per-candidate variance solve is what approx removes).
-    {"fast", 200, 1024},
-    {"fast", 200, 10240},
-    // Bounded-history exact path at stream lengths the unwindowed
-    // engine cannot sustain. Gate: fit p95 < 1 ms at n=1000.
-    {"windowed", 500, 64},
-    {"windowed", 1000, 64},
-    {"windowed", 1000, 1024},
-    {"windowed", 1000, 10240},
-    // Sparse path. Gate: total p95 < 1 ms at n=1000 for every C.
-    {"approx", 500, 64},
-    {"approx", 1000, 64},
-    {"approx", 1000, 1024},
-    {"approx", 1000, 10240},
+    // The shipped controller's shape (the GP never exceeds 64
+    // samples there).
+    {"prod", 16, 0},
+    {"prod", 32, 0},
+    {"prod", 64, 0},
 };
 
 RealVec
@@ -152,71 +122,106 @@ syntheticTarget(const RealVec& x, Rng& rng)
     return -d2 + 0.05 * rng.gaussian();
 }
 
+/** Training set and candidate set of one trial. */
+struct TrialData
+{
+    std::vector<RealVec> inputs;
+    std::vector<double> targets;
+    std::vector<RealVec> candidates;
+};
+
+/** n random 10-dim samples and @p candidates random candidates. */
+TrialData
+syntheticData(const Cell& cell, std::uint64_t seed)
+{
+    Rng rng(seed);
+    TrialData d;
+    for (std::size_t i = 0; i < cell.n; ++i) {
+        d.inputs.push_back(randomInput(rng));
+        d.targets.push_back(syntheticTarget(d.inputs.back(), rng));
+    }
+    for (std::size_t c = 0; c < cell.candidates; ++c)
+        d.candidates.push_back(randomInput(rng));
+    return d;
+}
+
+/**
+ * n random configurations of the 5-job paper testbed as training
+ * samples, scored synthetically, plus one CandidateGenerator round
+ * around the equal partition. The candidate round uses a seed fixed
+ * per cell so its size - part of the cell key - is stable.
+ */
+TrialData
+productionData(const Cell& cell, std::uint64_t seed)
+{
+    const PlatformSpec platform = PlatformSpec::paperTestbed();
+    const ConfigurationSpace space(platform, kProdJobs);
+    Rng rng(seed);
+    TrialData d;
+    for (std::size_t i = 0; i < cell.n; ++i) {
+        d.inputs.push_back(space.sample(rng).normalizedVector());
+        d.targets.push_back(syntheticTarget(d.inputs.back(), rng));
+    }
+    const bo::CandidateGenerator generator(space,
+                                           core::SatoriOptions{}.candidates);
+    Rng cand_rng(7000 + cell.n);
+    for (const Configuration& c : generator.generate(
+             Configuration::equalPartition(platform, kProdJobs), cand_rng))
+        d.candidates.push_back(c.normalizedVector());
+    return d;
+}
+
 bo::EngineOptions
 engineOptions(const std::string& path)
 {
+    if (path == "prod")
+        return core::SatoriOptions{}.engine;
     bo::EngineOptions opt;
     opt.length_scale_grid.clear(); // isolate the per-update fit cost
     if (path == "full")
         opt.incremental = false;
-    if (path == "windowed")
-        opt.max_history = kWindow;
-    if (path == "approx") {
-        opt.approx = true;
-        opt.approx_inducing = kInducing;
-        opt.approx_min_samples = 256;
-        // The fast-decision configuration: UCB scores in one fused
-        // pass over the batched predictions, where EI pays a libm
-        // erfc + exp per candidate (~0.5 ms alone at C = 10240 -
-        // more than the whole latency budget).
-        opt.acquisition = bo::AcquisitionKind::Ucb;
-    }
     return opt;
 }
 
 /**
- * One timed decision interval at sample count @p n: append the n-th
- * sample (fit) and maximize acquisition over the candidate set. The
- * full path emulates the pre-optimization engine exactly: full refit
- * plus one predict() per candidate.
+ * One timed decision interval at sample count n: fit the n-th sample
+ * and maximize acquisition over the candidate set. The full path
+ * emulates the pre-optimization engine exactly: full refit plus one
+ * predict() per candidate. The prod path refits through setSamples()
+ * with the whole training set, as the controller's per-interval
+ * reconstruction does; full and fast append through addSample().
+ * Returns the candidate count.
  */
-void
-runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats,
-         double& pruned_frac)
+std::size_t
+runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
 {
-    Rng rng(seed);
-    std::vector<RealVec> inputs;
-    std::vector<double> targets;
-    inputs.reserve(cell.n);
-    targets.reserve(cell.n);
-    for (std::size_t i = 0; i < cell.n; ++i) {
-        inputs.push_back(randomInput(rng));
-        targets.push_back(syntheticTarget(inputs.back(), rng));
-    }
-    std::vector<RealVec> candidates;
-    candidates.reserve(cell.candidates);
-    for (std::size_t c = 0; c < cell.candidates; ++c)
-        candidates.push_back(randomInput(rng));
+    const bool full = std::strcmp(cell.path, "full") == 0;
+    const bool prod = std::strcmp(cell.path, "prod") == 0;
+    const TrialData d =
+        prod ? productionData(cell, seed) : syntheticData(cell, seed);
 
     bo::BoEngine engine(engineOptions(cell.path));
-    std::vector<RealVec> warm(inputs.begin(), inputs.end() - 1);
-    std::vector<double> warm_y(targets.begin(), targets.end() - 1);
+    const std::vector<RealVec> warm(d.inputs.begin(), d.inputs.end() - 1);
+    const std::vector<double> warm_y(d.targets.begin(),
+                                     d.targets.end() - 1);
     engine.setSamples(warm, warm_y);
 
-    const bool full = std::strcmp(cell.path, "full") == 0;
     const std::uint64_t t0 = obs::steadyNowNs();
-    engine.addSample(inputs.back(), targets.back());
+    if (prod)
+        engine.setSamples(d.inputs, d.targets);
+    else
+        engine.addSample(d.inputs.back(), d.targets.back());
     const std::uint64_t t1 = obs::steadyNowNs();
     std::size_t pick = 0;
     if (!full) {
-        pick = engine.suggestIndex(candidates);
+        pick = engine.suggestIndex(d.candidates);
     } else {
         // The pre-optimization acquisition loop: one GP solve per
         // candidate.
         const double best = engine.bestObserved();
         double best_score = -1e300;
-        for (std::size_t c = 0; c < candidates.size(); ++c) {
-            const auto pred = engine.predict(candidates[c]);
+        for (std::size_t c = 0; c < d.candidates.size(); ++c) {
+            const auto pred = engine.predict(d.candidates[c]);
             const double score = bo::acquisition(
                 engine.options().acquisition, pred, best,
                 engine.options().xi, engine.options().ucb_beta);
@@ -228,133 +233,34 @@ runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats,
     }
     const std::uint64_t t2 = obs::steadyNowNs();
     // Keep the optimizer honest about the chosen index.
-    if (pick >= candidates.size())
+    if (pick >= d.candidates.size())
         std::abort();
-    if (!full) {
-        const auto& s = engine.suggestStats();
-        if (s.screen_kept + s.screen_pruned > 0)
-            pruned_frac =
-                static_cast<double>(s.screen_pruned) /
-                static_cast<double>(s.screen_kept + s.screen_pruned);
-    }
 
     stats.fit_ns.push_back(static_cast<double>(t1 - t0));
     stats.acq_ns.push_back(static_cast<double>(t2 - t1));
     stats.total_ns.push_back(static_cast<double>(t2 - t0));
-}
-
-/**
- * Steady-state decision loop for the approx path: one engine, one
- * fixed candidate lattice, warmup + trials consecutive intervals of
- * append-then-suggest. The first suggest builds the candidate cache
- * (a miss, absorbed by warmup); every following interval journals the
- * interval's rank-1 Gram changes and scores through the cache - the
- * configuration the engine actually runs in once the controller
- * settles on a lattice.
- */
-void
-runApproxCell(const Cell& cell, std::size_t warmup, std::size_t trials,
-              PathStats& stats, double& pruned_frac)
-{
-    Rng rng(4000 + cell.n + cell.candidates);
-    std::vector<RealVec> inputs;
-    std::vector<double> targets;
-    inputs.reserve(cell.n);
-    targets.reserve(cell.n);
-    for (std::size_t i = 0; i < cell.n; ++i) {
-        inputs.push_back(randomInput(rng));
-        targets.push_back(syntheticTarget(inputs.back(), rng));
-    }
-    std::vector<RealVec> candidates;
-    candidates.reserve(cell.candidates);
-    for (std::size_t c = 0; c < cell.candidates; ++c)
-        candidates.push_back(randomInput(rng));
-
-    bo::BoEngine engine(engineOptions(cell.path));
-    engine.setSamples(inputs, targets);
-
-    for (std::size_t t = 0; t < warmup + trials; ++t) {
-        const RealVec x = randomInput(rng);
-        const double y = syntheticTarget(x, rng);
-        const std::uint64_t t0 = obs::steadyNowNs();
-        engine.addSample(x, y);
-        const std::uint64_t t1 = obs::steadyNowNs();
-        const std::size_t pick = engine.suggestIndex(candidates);
-        const std::uint64_t t2 = obs::steadyNowNs();
-        if (pick >= candidates.size())
-            std::abort();
-        if (t < warmup)
-            continue;
-        const auto& s = engine.suggestStats();
-        if (s.screen_kept + s.screen_pruned > 0)
-            pruned_frac =
-                static_cast<double>(s.screen_pruned) /
-                static_cast<double>(s.screen_kept + s.screen_pruned);
-        stats.fit_ns.push_back(static_cast<double>(t1 - t0));
-        stats.acq_ns.push_back(static_cast<double>(t2 - t1));
-        stats.total_ns.push_back(static_cast<double>(t2 - t0));
-    }
+    return d.candidates.size();
 }
 
 Point
-summarize(const Cell& cell, const PathStats& s, double pruned_frac)
+summarize(const Cell& cell, std::size_t candidates, const PathStats& s)
 {
     Point p;
     p.path = cell.path;
     p.n = cell.n;
-    p.candidates = cell.candidates;
+    p.candidates = candidates;
     p.fit_p50 = percentile(s.fit_ns, 50.0);
     p.fit_p95 = percentile(s.fit_ns, 95.0);
     p.acq_p50 = percentile(s.acq_ns, 50.0);
     p.acq_p95 = percentile(s.acq_ns, 95.0);
     p.total_p50 = percentile(s.total_ns, 50.0);
     p.total_p95 = percentile(s.total_ns, 95.0);
-    p.pruned_frac = pruned_frac;
     return p;
-}
-
-/**
- * Approximation error of the sparse path against the exact GP on the
- * bench objective: both models fit the same n samples, RMSE of the
- * posterior-mean difference over fresh queries, averaged over seeds.
- */
-double
-measureApproxRmse(std::size_t n, std::size_t seeds)
-{
-    double sum = 0.0;
-    for (std::uint64_t s = 0; s < seeds; ++s) {
-        Rng rng(9000 + s);
-        std::vector<RealVec> xs;
-        std::vector<double> ys;
-        for (std::size_t i = 0; i < n; ++i) {
-            xs.push_back(randomInput(rng));
-            ys.push_back(syntheticTarget(xs.back(), rng));
-        }
-        const bo::EngineOptions opt;
-        bo::GaussianProcess exact(
-            std::make_unique<bo::Matern52Kernel>(opt.length_scale),
-            opt.noise_variance);
-        exact.fit(xs, ys);
-        bo::ApproxGp approx(
-            std::make_unique<bo::Matern52Kernel>(opt.length_scale),
-            opt.noise_variance, kInducing);
-        approx.fit(xs, ys);
-        double se = 0.0;
-        constexpr std::size_t kQueries = 200;
-        for (std::size_t q = 0; q < kQueries; ++q) {
-            const RealVec x = randomInput(rng);
-            const double d =
-                exact.predict(x).mean - approx.predict(x).mean;
-            se += d * d;
-        }
-        sum += std::sqrt(se / kQueries);
-    }
-    return sum / static_cast<double>(seeds);
 }
 
 void
 writeJson(const std::string& file_path, const std::vector<Point>& points,
-          double fit_speedup, double total_speedup, double approx_rmse)
+          double fit_speedup, double total_speedup)
 {
     std::ofstream out(file_path);
     if (!out) {
@@ -364,8 +270,7 @@ writeJson(const std::string& file_path, const std::vector<Point>& points,
     out << "{\n";
     out << "  \"bench\": \"decision_latency\",\n";
     out << "  \"dims\": " << kDims << ",\n";
-    out << "  \"window\": " << kWindow << ",\n";
-    out << "  \"inducing\": " << kInducing << ",\n";
+    out << "  \"prod_dims\": " << kProdJobs * 3 << ",\n";
     out << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
         const Point& p = points[i];
@@ -375,20 +280,18 @@ writeJson(const std::string& file_path, const std::vector<Point>& points,
             "    {\"path\": \"%s\", \"n\": %zu, \"candidates\": %zu, "
             "\"fit_p50_ns\": %.0f, \"fit_p95_ns\": %.0f, "
             "\"acq_p50_ns\": %.0f, \"acq_p95_ns\": %.0f, "
-            "\"total_p50_ns\": %.0f, \"total_p95_ns\": %.0f, "
-            "\"pruned_frac\": %.3f}%s\n",
+            "\"total_p50_ns\": %.0f, \"total_p95_ns\": %.0f}%s\n",
             p.path.c_str(), p.n, p.candidates, p.fit_p50, p.fit_p95,
             p.acq_p50, p.acq_p95, p.total_p50, p.total_p95,
-            p.pruned_frac, i + 1 < points.size() ? "," : "");
+            i + 1 < points.size() ? "," : "");
         out << line;
     }
     out << "  ],\n";
     char tail[240];
     std::snprintf(tail, sizeof(tail),
                   "  \"speedup_p95_fit_at_max_n\": %.2f,\n"
-                  "  \"speedup_p95_total_at_max_n\": %.2f,\n"
-                  "  \"approx_rmse_vs_exact\": %.4f\n",
-                  fit_speedup, total_speedup, approx_rmse);
+                  "  \"speedup_p95_total_at_max_n\": %.2f\n",
+                  fit_speedup, total_speedup);
     out << tail;
     out << "}\n";
 }
@@ -470,45 +373,33 @@ main(int argc, char** argv)
                 "  --full           more trials per point\n"
                 "  --json PATH      write the results as JSON\n"
                 "  --check BASELINE fail on missing baseline cells, >3x\n"
-                "                   p95 regression, <5x fit speedup, or\n"
-                "                   a blown windowed/approx latency or\n"
-                "                   RMSE budget\n",
+                "                   p95 regression, or <5x fit speedup\n",
                 argv[0]);
             return 2;
         }
     }
 
     std::printf("Decision-loop latency across engine paths (full, "
-                "fast,\nwindowed W=%zu, approx m=%zu); %zu dims\n\n",
-                kWindow, kInducing, kDims);
+                "fast: %zu dims;\nprod: %zu dims, CandidateGenerator "
+                "candidates)\n\n",
+                kDims, kProdJobs * 3);
 
     std::vector<Point> points;
     for (const Cell& cell : kCells) {
-        // Scale trials down where a single trial is itself expensive
-        // (exact scoring of 10k candidates, O(n^3) warm fits).
-        std::size_t trials = full_run ? 60 : 25;
-        if (cell.candidates >= 10240 &&
-            std::strcmp(cell.path, "approx") != 0)
-            trials = full_run ? 20 : 8;
+        const std::size_t trials = full_run ? 60 : 25;
         const std::size_t warmup = 2;
         PathStats stats;
         PathStats discard;
-        double pruned_frac = 0.0;
-        if (std::strcmp(cell.path, "approx") == 0) {
-            runApproxCell(cell, warmup, trials, stats, pruned_frac);
-        } else {
-            for (std::size_t t = 0; t < warmup + trials; ++t)
-                runTrial(cell, 1000 + t, t < warmup ? discard : stats,
-                         pruned_frac);
-        }
-        points.push_back(summarize(cell, stats, pruned_frac));
+        std::size_t candidates = 0;
+        for (std::size_t t = 0; t < warmup + trials; ++t)
+            candidates =
+                runTrial(cell, 1000 + t, t < warmup ? discard : stats);
+        points.push_back(summarize(cell, candidates, stats));
     }
-
-    const double approx_rmse = measureApproxRmse(1000, full_run ? 5 : 3);
 
     TablePrinter table({"path", "n", "cands", "fit p50 us",
                         "fit p95 us", "acq p50 us", "acq p95 us",
-                        "total p95 us", "pruned"});
+                        "total p95 us"});
     for (const Point& p : points) {
         table.addRow({p.path, std::to_string(p.n),
                       std::to_string(p.candidates),
@@ -516,8 +407,7 @@ main(int argc, char** argv)
                       TablePrinter::num(p.fit_p95 / 1e3, 1),
                       TablePrinter::num(p.acq_p50 / 1e3, 1),
                       TablePrinter::num(p.acq_p95 / 1e3, 1),
-                      TablePrinter::num(p.total_p95 / 1e3, 1),
-                      TablePrinter::num(p.pruned_frac, 2)});
+                      TablePrinter::num(p.total_p95 / 1e3, 1)});
     }
     table.print();
 
@@ -539,13 +429,11 @@ main(int argc, char** argv)
     const double fit_speedup = full_fit_p95 / fast_fit_p95;
     const double total_speedup = full_total_p95 / fast_total_p95;
     std::printf("\nfit p95 speedup at n=%zu: %.1fx (target >= 5x); "
-                "end-to-end: %.1fx\napprox mean RMSE vs exact at "
-                "n=1000: %.4f (budget 0.25)\n",
-                kRatioN, fit_speedup, total_speedup, approx_rmse);
+                "end-to-end: %.1fx\n",
+                kRatioN, fit_speedup, total_speedup);
 
     if (!json_path.empty()) {
-        writeJson(json_path, points, fit_speedup, total_speedup,
-                  approx_rmse);
+        writeJson(json_path, points, fit_speedup, total_speedup);
         std::printf("wrote %s\n", json_path.c_str());
     }
 
@@ -555,27 +443,6 @@ main(int argc, char** argv)
             std::printf("CHECK FAIL: fit speedup %.1fx < 5x\n",
                         fit_speedup);
             ok = false;
-        }
-        if (approx_rmse > 0.25) {
-            std::printf("CHECK FAIL: approx RMSE %.4f > 0.25 budget\n",
-                        approx_rmse);
-            ok = false;
-        }
-        for (const Point& p : points) {
-            if (p.path == "windowed" && p.n == 1000 &&
-                p.fit_p95 >= kMsNs) {
-                std::printf("CHECK FAIL: windowed fit p95 %.0f ns "
-                            ">= 1 ms at n=%zu C=%zu\n",
-                            p.fit_p95, p.n, p.candidates);
-                ok = false;
-            }
-            if (p.path == "approx" && p.n == 1000 &&
-                p.total_p95 >= kMsNs) {
-                std::printf("CHECK FAIL: approx total p95 %.0f ns "
-                            ">= 1 ms at n=%zu C=%zu\n",
-                            p.total_p95, p.n, p.candidates);
-                ok = false;
-            }
         }
         const auto baseline = readBaselineTotalP95(check_path);
         for (const Point& p : points) {
@@ -592,8 +459,7 @@ main(int argc, char** argv)
             }
             // 3x, not 2x: the sub-100 us cells sit close to shared-
             // runner timer jitter, and losing an optimization is far
-            // coarser than that (uncached approx scoring alone is
-            // ~6x the cached baseline at C = 10240).
+            // coarser than that.
             if (p.total_p95 > 3.0 * it->second) {
                 std::printf("CHECK FAIL: %s total p95 %.0f ns > 3x "
                             "baseline %.0f ns\n",
@@ -603,10 +469,8 @@ main(int argc, char** argv)
             }
         }
         if (ok)
-            std::printf(
-                "CHECK PASS: >= 5x fit speedup, windowed fit < 1 ms "
-                "and approx total < 1 ms at n=1000, RMSE within "
-                "budget, all cells within 3x of baseline\n");
+            std::printf("CHECK PASS: >= 5x fit speedup, all cells "
+                        "within 3x of baseline\n");
     }
     return ok ? 0 : 1;
 }

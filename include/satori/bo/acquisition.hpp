@@ -49,25 +49,6 @@ enum class AcquisitionKind
                    double best_observed, double xi = 0.01,
                    double beta = 2.0);
 
-/**
- * Cheap upper bound on acquisition() over every posterior with the
- * given @p mean and stddev <= @p sigma_max, used by the candidate
- * screening prefilter: a candidate whose bound is below an exactly
- * scored incumbent can never be the argmax.
- *
- * The bound is conservative under floating point, not just in exact
- * arithmetic - each formula carries enough multiplicative slack to
- * dominate the rounding of the exact evaluation (the screening
- * exactness test in bo_test leans on this). Costs a handful of flops
- * (no erf/exp except on the PI negative-improvement branch), versus
- * the O(n^2) triangular solve an exact score needs for sigma.
- */
-[[nodiscard]] double acquisitionUpperBound(AcquisitionKind kind, double mean,
-                                           double sigma_max,
-                                           double best_observed,
-                                           double xi = 0.01,
-                                           double beta = 2.0);
-
 } // namespace bo
 } // namespace satori
 

@@ -1,22 +1,21 @@
 /**
  * @file
  * The BO engine: proxy model + acquisition maximization over a
- * candidate set. Supports both the traditional incremental workflow
- * (addSample) and SATORI's per-iteration software reconstruction of
- * the proxy model from goal-specific records (setSamples), which is
- * what makes dynamically re-weighted objectives tractable
- * (Sec. III-B).
+ * candidate set, on one exact path - an incremental exact GP, batched
+ * dense scoring of every candidate, then a first-wins argmax.
+ * Supports both the traditional incremental workflow (addSample) and
+ * SATORI's per-iteration software reconstruction of the proxy model
+ * from goal-specific records (setSamples), which is what makes
+ * dynamically re-weighted objectives tractable (Sec. III-B).
  */
 
 #ifndef SATORI_BO_ENGINE_HPP
 #define SATORI_BO_ENGINE_HPP
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "satori/bo/acquisition.hpp"
-#include "satori/bo/approx_gp.hpp"
 #include "satori/bo/gp.hpp"
 #include "satori/common/types.hpp"
 
@@ -29,7 +28,12 @@ class StateReader;
 
 namespace bo {
 
-/** Engine configuration knobs. */
+/**
+ * Engine configuration knobs: the GP model, the acquisition function
+ * and the hyperparameter-refit schedule. None of them selects a
+ * different scoring path - every decision is an exact posterior for
+ * every candidate, maximized first-wins.
+ */
 struct EngineOptions
 {
     /** GP observation-noise variance. */
@@ -64,53 +68,6 @@ struct EngineOptions
      * behavior and exists so tests can pin that equivalence.
      */
     bool incremental = true;
-
-    /**
-     * Bound the training window at this many samples (0, the default,
-     * keeps everything). With a bound, appends evict the oldest
-     * sample via an O(W^2) Cholesky downdate; the engine's own
-     * sample/target lists (and thus bestObserved and saveState) are
-     * trimmed to the same window. Windowed results carry the GP's
-     * byte-STABILITY contract instead of byte equality with an
-     * unbounded fit; max_history = 0 is untouched bit for bit.
-     */
-    std::size_t max_history = 0;
-
-    /**
-     * Switch to the inducing-point approximate GP (ApproxGp) once the
-     * training set reaches approx_min_samples: O(m n) updates and
-     * O(m^2)-per-candidate scoring instead of O(n^2). Decisions on
-     * the approximate path are NOT bit-identical to the exact path;
-     * the approximation error is measured and gated by
-     * bench_decision_latency. Off by default - the exact engine's
-     * decision traces stay byte-identical to the pre-approx build.
-     */
-    bool approx = false;
-
-    /** Inducing-point budget m for the approximate GP. */
-    std::size_t approx_inducing = 16;
-
-    /** Training-set size at which the approximate GP takes over. */
-    std::size_t approx_min_samples = 256;
-
-    /**
-     * Prefilter candidates with a cheap acquisition upper bound
-     * (means-only pass + maxStddev) before paying the O(n^2)
-     * per-candidate variance solve. Provably exact: the screened
-     * argmax - including tie-breaks - is identical to the unscreened
-     * one (bo_test pins it), so this default-on knob never changes a
-     * decision, only its cost. Pruned/kept counts are exported via
-     * satori.bo.screen_* and suggestStats().
-     */
-    bool screen = true;
-
-    /**
-     * Worker threads for exact batched acquisition scoring (1 =
-     * serial, the default; 0 = defaultThreadCount()). Results are
-     * bit-identical at every thread count - candidates are scored
-     * lane-parallel into disjoint slots with per-chunk scratch.
-     */
-    std::size_t acq_threads = 1;
 };
 
 /**
@@ -137,32 +94,7 @@ class BoEngine
     void addSample(const RealVec& input, double target);
 
     /** True once at least one sample is fitted. */
-    [[nodiscard]] bool ready() const
-    {
-        return (gp_ && gp_->isFitted()) ||
-               (approx_gp_ && approx_gp_->isFitted());
-    }
-
-    /** Per-decision diagnostics from the most recent suggestIndex. */
-    struct SuggestStats
-    {
-        /** Candidates that survived screening (== candidate count
-         * when screening was off or bypassed). */
-        std::uint64_t screen_kept = 0;
-        /** Candidates pruned by the acquisition upper bound. */
-        std::uint64_t screen_pruned = 0;
-        /** Lifetime oldest-sample evictions across the engine's
-         * models (exact + approximate). */
-        std::uint64_t window_evictions = 0;
-        /** The decision was scored by the approximate GP. */
-        bool approx_active = false;
-    };
-
-    /** Stats from the most recent suggestIndex (zeros before any). */
-    [[nodiscard]] const SuggestStats& suggestStats() const
-    {
-        return stats_;
-    }
+    [[nodiscard]] bool ready() const { return gp_->isFitted(); }
 
     /** Best (largest) target value observed so far. */
     [[nodiscard]] double bestObserved() const;
@@ -172,7 +104,8 @@ class BoEngine
 
     /**
      * Score all candidates with the acquisition function and return
-     * the index of the best one. @pre ready() and non-empty.
+     * the index of the best one (the first on ties).
+     * @pre ready() and non-empty.
      */
     [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates) const;
 
@@ -219,55 +152,21 @@ class BoEngine
      */
     void refit(bool appended);
 
-    /** Drop engine-side samples beyond the window bound (front-first). */
-    void trimToWindow();
-
-    /** Approximate regime in force for the current training size? */
-    [[nodiscard]] bool approxActive() const;
-
-    /** Construct approx_gp_ on first use (approx regime entry). */
-    void ensureApproxGp();
-
     /** Shared acquisition maximization (penalties may be null). */
     [[nodiscard]] std::size_t suggestImpl(
         const std::vector<RealVec>& candidates,
         const std::vector<double>* penalties) const;
 
-    /** Exact-GP suggest with upper-bound candidate screening. */
-    [[nodiscard]] std::size_t suggestScreened(
-        const std::vector<RealVec>& candidates,
-        const std::vector<double>* penalties, double best) const;
-
-    /**
-     * Exact posterior (mean + variance) for all of @p xs into
-     * @p preds, serial or chunked over acq_threads workers; results
-     * are bit-identical at every thread count.
-     */
-    void scoreExactInto(const std::vector<RealVec>& xs,
-                        std::vector<GpPrediction>& preds) const;
-
     EngineOptions options_;
     std::unique_ptr<GaussianProcess> gp_;
-    std::unique_ptr<ApproxGp> approx_gp_;
     std::vector<RealVec> inputs_;
     std::vector<double> targets_;
     std::size_t fits_since_grid_ = 0;
 
-    /** Exact GP out of sync with inputs_ (approx regime updates skip
-     * it); cleared by the full resync fit on regime exit. */
-    bool gp_stale_ = false;
-
-    /** Acquisition scratch, reused across suggest/probe calls. Makes
-     * const scoring methods unsafe to call concurrently on the same
-     * engine; distinct engines stay independent. */
+    /** Acquisition scratch, reused across suggest calls. Makes const
+     * scoring methods unsafe to call concurrently on the same engine;
+     * distinct engines stay independent. */
     mutable std::vector<GpPrediction> preds_scratch_;
-    mutable GaussianProcess::BatchScratch acq_scratch_;
-    mutable std::vector<GaussianProcess::BatchScratch> thread_scratch_;
-    mutable std::vector<double> means_scratch_;
-    mutable std::vector<double> bounds_scratch_;
-    mutable std::vector<std::size_t> surv_idx_scratch_;
-    mutable std::vector<RealVec> surv_cands_scratch_;
-    mutable SuggestStats stats_;
 };
 
 } // namespace bo

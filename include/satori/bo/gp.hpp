@@ -8,7 +8,6 @@
 #ifndef SATORI_BO_GP_HPP
 #define SATORI_BO_GP_HPP
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -48,22 +47,9 @@ struct GpPrediction
  * kernel matrix (a numerical-hygiene backstop - the factor itself
  * never depends on the targets, so this changes nothing observable).
  *
- * Sliding-window mode (setMaxHistory): the training set is bounded
- * at W samples; appending to a full window first evicts the oldest
- * sample with an O(n^2) Cholesky downdate instead of the O(n^3)
- * refit a trimmed set would otherwise cost. A downdated factor is
- * tolerance-equal (not bit-equal) to a fresh factorization of the
- * surviving window, so windowed results carry a byte-STABILITY
- * contract - the same operation sequence replays byte-identically,
- * and bo_test pins that - rather than the unwindowed paths' byte
- * equality with the full refit. Unwindowed behavior (max_history 0,
- * the default) is untouched bit for bit.
- *
  * Thread-safety: const prediction methods reuse internal scratch
  * buffers and are therefore NOT safe to call concurrently on the
  * same instance; distinct instances are fully independent.
- * predictRangeInto() with a caller-owned scratch is the exception:
- * it is safe from multiple threads over disjoint ranges.
  */
 class GaussianProcess
 {
@@ -104,28 +90,12 @@ class GaussianProcess
      *    factorization is reused and only the O(n^2) standardize +
      *    solve re-runs;
      *  - one appended input: the rank-1 addObservation path.
-     * Anything else (trimmed window, reordered samples) takes the
-     * full O(n^3) refit. Equality is bitwise, so a false negative
+     * Anything else (dropped or reordered samples) takes the full
+     * O(n^3) refit. Equality is bitwise, so a false negative
      * merely costs a full refit, never correctness.
      */
     void fitIncremental(const std::vector<RealVec>& inputs,
                         const std::vector<double>& targets);
-
-    /**
-     * Bound the training window at @p max_history samples (0, the
-     * default, means unbounded). Takes effect on the next update;
-     * shrinking below the current size evicts oldest-first then.
-     */
-    void setMaxHistory(std::size_t max_history);
-
-    /** The window bound in force (0 = unbounded). */
-    [[nodiscard]] std::size_t maxHistory() const { return max_history_; }
-
-    /** Oldest-sample evictions performed on this instance. */
-    [[nodiscard]] std::uint64_t windowEvictions() const
-    {
-        return window_evictions_;
-    }
 
     /** True once fit() succeeded with at least one sample. */
     [[nodiscard]] bool isFitted() const { return fitted_; }
@@ -148,47 +118,12 @@ class GaussianProcess
         const std::vector<RealVec>& xs) const;
 
     /**
-     * Working storage for predictRangeInto. One instance per thread
-     * lets callers score disjoint candidate ranges concurrently; the
-     * buffers are reused (and grown) across calls.
-     */
-    struct BatchScratch
-    {
-        SoaPoints pts;
-        linalg::Matrix kstar_t; ///< n x B cross-covariance block.
-        linalg::Matrix v;       ///< n x B triangular-solve solutions.
-        std::vector<double> means;
-        std::vector<double> vv;
-    };
-
-    /**
-     * predictBatchInto over xs[begin, end) with caller-owned scratch,
-     * writing out[0 .. end-begin). With @p with_variance false only
-     * the means are computed (variances are set to 0), skipping the
-     * per-candidate O(n^2) triangular solve - the cheap pass the
-     * acquisition prefilter runs over every candidate. Means are
-     * bit-identical between the two modes, and every result is
-     * independent of how callers block or thread the ranges.
-     */
-    void predictRangeInto(const std::vector<RealVec>& xs,
-                          std::size_t begin, std::size_t end,
-                          GpPrediction* out, BatchScratch& scratch,
-                          bool with_variance) const;
-
-    /**
-     * Posterior means only, for all of @p xs (see predictRangeInto).
+     * Posterior means only, for all of @p xs: bit-identical to the
+     * means predictBatchInto() computes, skipping the per-point
+     * O(n^2) variance solve.
      */
     void predictMeansInto(const std::vector<RealVec>& xs,
                           std::vector<double>& out) const;
-
-    /**
-     * An upper bound on predict(x).stddev() valid for every input x,
-     * including floating-point effects: the posterior never exceeds
-     * the prior, so this is sqrt(k(x,x)) in the original target
-     * scale, evaluated with the same operation order the prediction
-     * paths use. The screening prefilter leans on this bound.
-     */
-    [[nodiscard]] double maxStddev() const;
 
     /** Log marginal likelihood of the current fit (standardized y). */
     [[nodiscard]] double logMarginalLikelihood() const;
@@ -236,30 +171,13 @@ class GaussianProcess
     [[nodiscard]] bool samePrefix(const std::vector<RealVec>& other,
                                   std::size_t n) const;
 
-    /** Window bound active? */
-    [[nodiscard]] bool windowed() const { return max_history_ > 0; }
-
-    /** other[0..n-1) bitwise-equal to inputs_[1..n)? (slid window) */
-    [[nodiscard]] bool sameShifted(
-        const std::vector<RealVec>& other) const;
-
     /**
-     * Drop the oldest sample: O(n^2) factor downdate plus list pops.
-     * Falls back to a fresh factorization when the downdate hits a
-     * non-finite value or leaves the factor ill-conditioned. Does NOT
-     * re-solve alpha - callers re-standardize afterwards.
+     * Cross-covariance block and standardized posterior means for
+     * xs[b0, b1) into scratch_.kstar_t / scratch_.means: the shared
+     * first half of both batched prediction paths.
      */
-    void evictOldest();
-
-    /** Evict until the window bound holds (no-op when unbounded). */
-    void enforceWindow();
-
-    /**
-     * Rebuild the factorization for the current inputs_: from the
-     * cache when it is maintained (unwindowed), from the kernel
-     * otherwise.
-     */
-    void refreshFactorization();
+    void meansBlock(const std::vector<RealVec>& xs, std::size_t b0,
+                    std::size_t b1) const;
 
     std::unique_ptr<Kernel> kernel_;
     double noise_variance_;
@@ -276,22 +194,24 @@ class GaussianProcess
 
     /** Kernel matrix + noise diagonal (no jitter) for the current
      * inputs_: lets incremental updates and SPD-failure fallbacks
-     * skip the O(n^2) kernel re-evaluation. Not maintained in
-     * windowed mode (every eviction would pay an O(n^2) copy);
-     * fallbacks rebuild from the kernel there instead. */
+     * skip the O(n^2) kernel re-evaluation. */
     linalg::Matrix k_cache_;
 
     /** y_scale_ at the last full factorization (drift anchor). */
     double anchor_scale_ = 1.0;
 
-    /** Window bound (0 = unbounded). */
-    std::size_t max_history_ = 0;
-
-    /** Lifetime eviction count (diagnostics/stats). */
-    std::uint64_t window_evictions_ = 0;
+    /** Batched-prediction working storage, reused across calls. */
+    struct BlockScratch
+    {
+        SoaPoints pts;
+        linalg::Matrix kstar_t; ///< n x B cross-covariance block.
+        linalg::Matrix v;       ///< n x B triangular-solve solutions.
+        std::vector<double> means;
+        std::vector<double> vv;
+    };
 
     // Prediction scratch (not copied; see thread-safety note above).
-    mutable BatchScratch scratch_;
+    mutable BlockScratch scratch_;
 };
 
 } // namespace bo

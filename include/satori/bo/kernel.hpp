@@ -80,18 +80,6 @@ class Kernel
     virtual void covarianceCross(const SoaPoints& pts, const RealVec& q,
                                  double* out) const;
 
-    /**
-     * Approximate covarianceCross for throughput-critical paths that
-     * tolerate a bounded relative error (the approximate GP): same
-     * contract, except the result may deviate from covariance() by
-     * < 1e-9 relative. The base implementation is exact; Matern 5/2
-     * substitutes the vectorized exp(-z) approximation. @p scratch is
-     * caller-owned working storage (resized as needed).
-     */
-    virtual void covarianceCrossApprox(const SoaPoints& pts,
-                                       const RealVec& q, double* out,
-                                       std::vector<double>& scratch) const;
-
     /** k(x, x): the signal variance. */
     [[nodiscard]] virtual double variance() const = 0;
 
@@ -125,9 +113,6 @@ class Matern52Kernel final : public Kernel
                        double* out) const override;
     void covarianceCross(const SoaPoints& pts, const RealVec& q,
                          double* out) const override;
-    void covarianceCrossApprox(const SoaPoints& pts, const RealVec& q,
-                               double* out,
-                               std::vector<double>& scratch) const override;
     [[nodiscard]] double variance() const override { return signal_variance_; }
     [[nodiscard]] std::unique_ptr<Kernel> withLengthScale(double ls) const override;
     [[nodiscard]] double lengthScale() const override { return length_scale_; }

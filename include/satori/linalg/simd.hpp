@@ -9,9 +9,9 @@
  * vector path is therefore bit-identical to the scalar path - a
  * pure throughput optimization - and simd_test pins that with
  * memcmp. The one function with its own numerics, fastExpNegInto(),
- * is an *approximation* of std::exp(-z) (used only by the gated
- * approximate-GP path, never by exact decision paths), but it too
- * is bit-identical between its scalar and vector implementations.
+ * is an *approximation* of std::exp(-z) that no decision path calls
+ * (exact paths keep libm exp()), but it too is bit-identical between
+ * its scalar and vector implementations.
  *
  * Dispatch is resolved once at startup: when the library is built
  * with SATORI_SIMD=ON and the CPU reports AVX2, the kernels run the
@@ -85,27 +85,11 @@ void accumSquare(double* acc, const double* xs, std::size_t n);
  *
  * Cody-Waite range reduction with a fixed-order polynomial; relative
  * error is below 1e-9 over the covariance-relevant range (z in
- * [0, 50]), and inputs beyond 708 flush to exactly 0. This is the
- * approximate-GP kernel evaluation - exact paths keep libm exp().
+ * [0, 50]), and inputs beyond 708 flush to exactly 0. No decision
+ * path calls it - exact paths keep libm exp().
  * In-place operation (out == z) is allowed; partial overlap is not.
  */
 void fastExpNegInto(double* out, const double* z, std::size_t n);
-
-/**
- * out[i] = signal_variance * (1 + z + z^2/3) * exp(-z) with
- * z = sqrt(d2[i]) * scaled_inv_ls, for i in [0, n) - the entire
- * Matern-5/2 evaluation from squared distances, fused so the sqrt,
- * polynomial, and exponential all run vectorized in one pass.
- * @p scaled_inv_ls is sqrt(5)/length_scale, precomputed by the
- * caller so the per-element division disappears. exp(-z) is the
- * fastExpNegInto approximation, so like it this kernel serves only
- * the gated approximate-GP path (exact paths keep covarianceRow's
- * libm arithmetic); scalar and vector implementations are
- * bit-identical. In-place operation (out == d2) is allowed.
- */
-void matern52FromSqDistInto(double* out, const double* d2,
-                            double scaled_inv_ls,
-                            double signal_variance, std::size_t n);
 
 /** Scalar reference implementations - the behaviour contract the
  * vector path must match bit-for-bit (pinned by simd_test). */
@@ -122,9 +106,6 @@ void sqDistInto(double* out, const double* const* xs, const double* q,
 void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
 void accumSquare(double* acc, const double* xs, std::size_t n);
 void fastExpNegInto(double* out, const double* z, std::size_t n);
-void matern52FromSqDistInto(double* out, const double* d2,
-                            double scaled_inv_ls,
-                            double signal_variance, std::size_t n);
 
 } // namespace ref
 

@@ -62,14 +62,6 @@ struct DecisionRecord
      * settled | hold | retry-actuation | degraded.
      */
     std::string outcome;
-
-    // Decision fast-path diagnostics, from the engine's most recent
-    // acquisition maximization (zeros before the first one; repeated
-    // on intervals that decided without a fresh suggestion).
-    std::size_t screen_kept = 0;   ///< Candidates surviving screening.
-    std::size_t screen_pruned = 0; ///< Candidates pruned by the bound.
-    std::size_t window_evictions = 0; ///< Lifetime GP evictions.
-    bool approx_active = false; ///< Approximate GP made this decision.
 };
 
 /**

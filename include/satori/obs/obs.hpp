@@ -59,12 +59,14 @@ struct LibraryMetrics
     Counter& bo_fits;                ///< Proxy-model refits.
     Counter& bo_grid_refits;         ///< Hyperparameter grid refits.
     Counter& bo_suggests;            ///< Acquisition maximizations.
-    Counter& bo_window_evictions;    ///< Sliding-window GP downdates.
-    Counter& bo_screen_kept;         ///< Candidates surviving screening.
-    Counter& bo_screen_pruned;       ///< Candidates pruned by screening.
-    Counter& bo_approx_fallbacks;    ///< Approx-GP Gram rebuild fallbacks.
-    Counter& bo_approx_cache_hits;   ///< Candidate-score cache hits.
-    Counter& bo_approx_cache_misses; ///< Candidate-score cache rebuilds.
+    /**
+     * Retired candidate-screening counters: still registered because
+     * the benchmark harness (perfbench/) reads them, but nothing
+     * increments them since screening was removed, so they stay 0.
+     * They retire with the next benchmark change.
+     */
+    Counter& bo_screen_kept;
+    Counter& bo_screen_pruned;       ///< See bo_screen_kept.
     Counter& gp_fits;                ///< GP Cholesky factorizations.
     Counter& gp_incremental_updates; ///< O(n^2) rank-1 GP appends.
     Counter& gp_refresh_solves;      ///< Factor-reusing target refreshes.

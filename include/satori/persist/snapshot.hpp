@@ -46,10 +46,12 @@ namespace satori {
 namespace persist {
 
 /** Bumped on any incompatible change to the snapshot encoding.
- * v2: BoEngine::saveState appends the decision-path configuration
- * (max_history, approx, screen) so restore can refuse a mismatched
- * resume. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+ * v3: BoEngine::saveState writes only the refit recipe (length scale,
+ * fitted flag, grid-refit phase, training set); v2's decision-path
+ * fields (window bound, approximate-GP and screening flags) are gone
+ * with the options they recorded, so v2 snapshots are refused as a
+ * version mismatch. */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /** Assembles one snapshot: named sections, then an atomic install. */
 class SnapshotWriter

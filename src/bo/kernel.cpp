@@ -77,15 +77,6 @@ Kernel::covarianceCross(const SoaPoints& pts, const RealVec& q,
     }
 }
 
-void
-Kernel::covarianceCrossApprox(const SoaPoints& pts, const RealVec& q,
-                              double* out,
-                              std::vector<double>& scratch) const
-{
-    (void)scratch;
-    covarianceCross(pts, q, out);
-}
-
 Matern52Kernel::Matern52Kernel(double length_scale, double signal_variance)
     : length_scale_(length_scale), signal_variance_(signal_variance)
 {
@@ -143,24 +134,6 @@ Matern52Kernel::covarianceCross(const SoaPoints& pts, const RealVec& q,
         out[c] = signal_variance_ * (1.0 + z + z * z / 3.0) *
                  std::exp(-z);
     }
-}
-
-void
-Matern52Kernel::covarianceCrossApprox(const SoaPoints& pts,
-                                      const RealVec& q, double* out,
-                                      std::vector<double>& scratch) const
-{
-    // As covarianceCross, but the sqrt/polynomial/exp tail runs in
-    // the fused vectorized kernel (exp(-z) < 1e-9 relative; see
-    // linalg/simd.hpp) with the per-element division hoisted into
-    // one reciprocal. Only the approximate-GP paths call this - the
-    // error is folded into the RMSE budget the benchmark gates.
-    (void)scratch;
-    SATORI_ASSERT(pts.dims() == q.size());
-    sqDistBlock(pts, q, out);
-    const double scaled_inv_ls = std::sqrt(5.0) / length_scale_;
-    linalg::simd::matern52FromSqDistInto(out, out, scaled_inv_ls,
-                                         signal_variance_, pts.count());
 }
 
 std::unique_ptr<Kernel>

@@ -550,11 +550,6 @@ SatoriController::emitObsAudit(const IntervalObservation& observation,
     rec.proxy_change_pct = diagnostics_.proxy_change_pct;
     rec.chosen_config = decision.toString();
     rec.outcome = outcome;
-    const bo::BoEngine::SuggestStats& sstats = engine_.suggestStats();
-    rec.screen_kept = sstats.screen_kept;
-    rec.screen_pruned = sstats.screen_pruned;
-    rec.window_evictions = sstats.window_evictions;
-    rec.approx_active = sstats.approx_active;
     if (ctx.liveEnabled())
         ctx.noteDecision(rec);
     if (channel.enabled())

@@ -95,16 +95,6 @@ fastExpNegInto(double* out, const double* z, std::size_t n)
         out[i] = detail::expNegOne(z[i]);
 }
 
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] =
-            detail::matern52One(d2[i], scaled_inv_ls, signal_variance);
-}
-
 } // namespace ref
 
 namespace {
@@ -207,19 +197,6 @@ fastExpNegInto(double* out, const double* z, std::size_t n)
         ref::fastExpNegInto(out, z, n);
 }
 
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    if (kVectorized)
-        avx2::matern52FromSqDistInto(out, d2, scaled_inv_ls,
-                                     signal_variance, n);
-    else
-        ref::matern52FromSqDistInto(out, d2, scaled_inv_ls,
-                                    signal_variance, n);
-}
-
 #else // !SATORI_SIMD_AVX2
 
 void
@@ -271,15 +248,6 @@ void
 fastExpNegInto(double* out, const double* z, std::size_t n)
 {
     ref::fastExpNegInto(out, z, n);
-}
-
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    ref::matern52FromSqDistInto(out, d2, scaled_inv_ls,
-                                signal_variance, n);
 }
 
 #endif // SATORI_SIMD_AVX2

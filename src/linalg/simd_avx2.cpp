@@ -56,18 +56,9 @@ broadcast(double a)
     return v4d{ a, a, a, a };
 }
 
-/** IEEE-correctly-rounded lane-wise sqrt (vsqrtpd) - bit-identical
- * to std::sqrt per lane, like the scalar helper. */
-inline v4d
-sqrt4(v4d v)
-{
-    return __builtin_ia32_sqrtpd256(v);
-}
-
 /**
  * Four lanes of detail::expNegOne - the same constants, the same
- * operation order. Shared by fastExpNegInto and the fused Matern
- * kernel so the exp lanes cannot drift apart.
+ * operation order.
  */
 inline v4d
 expNeg4(v4d zv)
@@ -239,27 +230,6 @@ fastExpNegInto(double* out, const double* z, std::size_t n)
         store4(out + i, expNeg4(load4(z + i)));
     for (; i < n; ++i)
         out[i] = detail::expNegOne(z[i]);
-}
-
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    // Vector transcription of detail::matern52One, lane by lane.
-    const v4d cv = broadcast(scaled_inv_ls);
-    const v4d sv = broadcast(signal_variance);
-    const v4d one = broadcast(1.0);
-    const v4d third = broadcast(detail::kThird);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const v4d zv = sqrt4(load4(d2 + i)) * cv;
-        const v4d poly = (one + zv) + (zv * zv) * third;
-        store4(out + i, (sv * poly) * expNeg4(zv));
-    }
-    for (; i < n; ++i)
-        out[i] =
-            detail::matern52One(d2[i], scaled_inv_ls, signal_variance);
 }
 
 } // namespace avx2

@@ -13,7 +13,6 @@
 #ifndef SATORI_SRC_LINALG_SIMD_KERNELS_HPP
 #define SATORI_SRC_LINALG_SIMD_KERNELS_HPP
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -73,25 +72,6 @@ expNegOne(double z)
     return z > kZMax ? 0.0 : out;
 }
 
-/** 1/3 as a multiplier so the Matern-5/2 polynomial needs no
- * per-element division; shared by scalar and vector paths. */
-inline constexpr double kThird = 1.0 / 3.0;
-
-/**
- * One element of matern52FromSqDistInto: the full Matern-5/2
- * covariance from a squared distance. The operation order here is
- * the contract the vector lanes replicate: z from sqrt then one
- * multiply, the polynomial as (1 + z) + (z*z)*(1/3), then two
- * multiplies against the exp approximation.
- */
-[[nodiscard]] inline double
-matern52One(double d2, double scaled_inv_ls, double signal_variance)
-{
-    const double z = std::sqrt(d2) * scaled_inv_ls;
-    const double poly = (1.0 + z) + (z * z) * kThird;
-    return (signal_variance * poly) * expNegOne(z);
-}
-
 } // namespace detail
 
 #if defined(SATORI_SIMD_AVX2)
@@ -110,9 +90,6 @@ void sqDistInto(double* out, const double* const* xs, const double* q,
 void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
 void accumSquare(double* acc, const double* xs, std::size_t n);
 void fastExpNegInto(double* out, const double* z, std::size_t n);
-void matern52FromSqDistInto(double* out, const double* d2,
-                            double scaled_inv_ls,
-                            double signal_variance, std::size_t n);
 
 } // namespace avx2
 #endif // SATORI_SIMD_AVX2

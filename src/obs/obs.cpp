@@ -59,27 +59,12 @@ LibraryMetrics::LibraryMetrics(MetricsRegistry& registry)
       bo_suggests(registry.counter(
           "satori.bo.suggests",
           "Acquisition maximizations over a candidate set")),
-      bo_window_evictions(registry.counter(
-          "satori.bo.window_evictions",
-          "Oldest-sample Cholesky downdates in sliding-window mode")),
       bo_screen_kept(registry.counter(
           "satori.bo.screen_kept",
-          "Candidates fully scored after the acquisition prefilter")),
+          "Retired (candidate screening was removed); always 0")),
       bo_screen_pruned(registry.counter(
           "satori.bo.screen_pruned",
-          "Candidates the acquisition prefilter proved non-optimal")),
-      bo_approx_fallbacks(registry.counter(
-          "satori.bo.approx_fallbacks",
-          "Approximate-GP incremental failures that rebuilt the Gram "
-          "factor")),
-      bo_approx_cache_hits(registry.counter(
-          "satori.bo.approx_cache_hits",
-          "Candidate scorings served from the cached cross-covariance "
-          "block")),
-      bo_approx_cache_misses(registry.counter(
-          "satori.bo.approx_cache_misses",
-          "Candidate scorings that rebuilt the cross-covariance "
-          "cache")),
+          "Retired (candidate screening was removed); always 0")),
       gp_fits(registry.counter(
           "satori.gp.fits",
           "Gaussian-process Cholesky factorizations")),

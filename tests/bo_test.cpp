@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "satori/bo/acquisition.hpp"
-#include "satori/bo/approx_gp.hpp"
 #include "satori/bo/candidates.hpp"
 #include "satori/bo/engine.hpp"
 #include "satori/bo/gp.hpp"
@@ -298,8 +297,10 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
     GaussianProcess gp(std::make_unique<Matern52Kernel>(0.5), 0.05);
     gp.fit(xs, ys);
 
+    // 700 queries span three 256-candidate prediction blocks, the
+    // last one partial.
     std::vector<RealVec> queries;
-    for (int q = 0; q < 33; ++q)
+    for (int q = 0; q < 700; ++q)
         queries.push_back(randomPoint(rng, 5));
 
     const auto batch = gp.predictBatch(queries);
@@ -309,6 +310,15 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
         EXPECT_EQ(batch[q].mean, single.mean) << q;
         EXPECT_EQ(batch[q].variance, single.variance) << q;
     }
+
+    // The means-only pass produces the batch means bit for bit.
+    std::vector<double> means;
+    gp.predictMeansInto(queries, means);
+    ASSERT_EQ(means.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        EXPECT_EQ(std::memcmp(&means[q], &batch[q].mean, sizeof(double)),
+                  0)
+            << q;
 
     // The into-variant reuses scratch across calls without cross-talk.
     std::vector<GpPrediction> out;
@@ -568,9 +578,19 @@ TEST(CandidatesTest, GenerateReplaysExactlyAcrossInstances)
         EXPECT_TRUE(cands_a[i] == cands_b[i]) << "divergence at " << i;
 }
 
-// --- sliding-window GP -----------------------------------------------
+// --- engine at the production shape and across save/restore --------
 
 namespace {
+
+/** A smooth synthetic objective over share-normalized inputs. */
+double
+smoothTarget(const RealVec& x)
+{
+    double y = std::sin(3.0 * x[0]);
+    for (std::size_t d = 1; d < x.size(); ++d)
+        y += 0.3 * std::cos(4.0 * x[d]);
+    return y;
+}
 
 /** n pseudo-random inputs in [0,1)^dims with a smooth target. */
 void
@@ -584,515 +604,103 @@ makeDataset(std::size_t n, std::size_t dims, std::uint64_t seed,
         RealVec x(dims);
         for (std::size_t d = 0; d < dims; ++d)
             x[d] = rng.uniform();
-        double y = std::sin(3.0 * x[0]);
-        for (std::size_t d = 1; d < dims; ++d)
-            y += 0.3 * std::cos(4.0 * x[d]);
+        ys.push_back(smoothTarget(x));
         xs.push_back(std::move(x));
-        ys.push_back(y);
     }
 }
 
-/** Bitwise equality of two predictions. */
-bool
-samePrediction(const GpPrediction& a, const GpPrediction& b)
+/**
+ * The engine's decision recomputed from its public surface:
+ * acquisition(predict(x)) per candidate, minus the penalty, maximized
+ * with the first candidate winning ties.
+ */
+std::size_t
+plainArgmax(const BoEngine& engine, const std::vector<RealVec>& candidates,
+            const std::vector<double>* penalties)
 {
-    return std::memcmp(&a.mean, &b.mean, sizeof(double)) == 0 &&
-           std::memcmp(&a.variance, &b.variance, sizeof(double)) == 0;
+    const EngineOptions& o = engine.options();
+    const double best = engine.bestObserved();
+    double best_score = -std::numeric_limits<double>::infinity();
+    std::size_t best_idx = 0;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        double score = acquisition(o.acquisition,
+                                   engine.predict(candidates[i]), best,
+                                   o.xi, o.ucb_beta);
+        if (penalties != nullptr)
+            score -= (*penalties)[i];
+        if (score > best_score) {
+            best_score = score;
+            best_idx = i;
+        }
+    }
+    return best_idx;
 }
 
 } // namespace
 
-TEST(GpWindowTest, EvictAppendReplaysByteStably)
+TEST(EngineTest, ProductionShapeSuggestionIsPlainFirstWinsArgmax)
 {
-    // The windowed contract: the same operation sequence replays
-    // byte-identically on a fresh instance.
+    // The shipped controller's shape: 5 jobs x 3 resources = 15 dims,
+    // n = 64 samples, one round of real CandidateGenerator output.
+    const PlatformSpec p = PlatformSpec::paperTestbed();
+    ConfigurationSpace space(p, 5);
+    CandidateGenerator gen(space);
+    Rng rng(64);
     std::vector<RealVec> xs;
     std::vector<double> ys;
-    makeDataset(60, 3, 11, xs, ys);
-    std::vector<RealVec> queries;
-    std::vector<double> qys;
-    makeDataset(10, 3, 99, queries, qys);
-
-    const auto run = [&](GaussianProcess& gp) {
-        gp.setMaxHistory(24);
-        gp.fit({xs.begin(), xs.begin() + 30},
-               {ys.begin(), ys.begin() + 30});
-        for (std::size_t i = 30; i < xs.size(); ++i)
-            gp.addObservation(xs[i], ys[i]);
-        std::vector<GpPrediction> preds;
-        for (const RealVec& q : queries)
-            preds.push_back(gp.predict(q));
-        return preds;
-    };
-    GaussianProcess a(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    GaussianProcess b(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    const auto pa = run(a);
-    const auto pb = run(b);
-    ASSERT_EQ(a.numSamples(), 24u);
-    EXPECT_GT(a.windowEvictions(), 0u);
-    EXPECT_EQ(a.windowEvictions(), b.windowEvictions());
-    for (std::size_t i = 0; i < pa.size(); ++i)
-        EXPECT_TRUE(samePrediction(pa[i], pb[i])) << "query " << i;
-}
-
-TEST(GpWindowTest, WindowedFitTracksFreshFitOfSuffix)
-{
-    // Downdated factors are tolerance-equal (not bit-equal) to a
-    // fresh factorization of the surviving window.
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(50, 2, 21, xs, ys);
-
-    GaussianProcess windowed(std::make_unique<Matern52Kernel>(0.5),
-                             0.05);
-    windowed.setMaxHistory(20);
-    windowed.fit({xs.begin(), xs.begin() + 25},
-                 {ys.begin(), ys.begin() + 25});
-    for (std::size_t i = 25; i < xs.size(); ++i)
-        windowed.addObservation(xs[i], ys[i]);
-
-    GaussianProcess fresh(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    fresh.fit({xs.end() - 20, xs.end()}, {ys.end() - 20, ys.end()});
-
-    ASSERT_EQ(windowed.numSamples(), 20u);
-    std::vector<RealVec> queries;
-    std::vector<double> qys;
-    makeDataset(12, 2, 77, queries, qys);
-    for (const RealVec& q : queries) {
-        const GpPrediction w = windowed.predict(q);
-        const GpPrediction f = fresh.predict(q);
-        EXPECT_NEAR(w.mean, f.mean, 1e-8);
-        EXPECT_NEAR(w.variance, f.variance, 1e-8);
+    for (std::size_t i = 0; i < 64; ++i) {
+        xs.push_back(space.sample(rng).normalizedVector());
+        ys.push_back(smoothTarget(xs.back()));
     }
-}
-
-TEST(GpWindowTest, FitTrimsToWindowSuffix)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(30, 2, 31, xs, ys);
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    gp.setMaxHistory(8);
-    gp.fit(xs, ys);
-    EXPECT_EQ(gp.numSamples(), 8u);
-    GaussianProcess fresh(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    fresh.fit({xs.end() - 8, xs.end()}, {ys.end() - 8, ys.end()});
-    // A windowed full fit factorizes the suffix directly: identical
-    // kernel matrix, identical arithmetic, so means agree to
-    // round-off of the different solve blocking.
-    const GpPrediction a = gp.predict(xs[0]);
-    const GpPrediction b = fresh.predict(xs[0]);
-    EXPECT_NEAR(a.mean, b.mean, 1e-10);
-    EXPECT_NEAR(a.variance, b.variance, 1e-10);
-}
-
-// --- batched/threaded prediction -------------------------------------
-
-TEST(GpBatchTest, PredictRangeChunksMatchFullSweepBitwise)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(40, 3, 41, xs, ys);
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    gp.fit(xs, ys);
-
-    std::vector<RealVec> queries;
-    std::vector<double> qys;
-    makeDataset(700, 3, 42, queries, qys);
-
-    std::vector<GpPrediction> full(queries.size());
-    GaussianProcess::BatchScratch scratch;
-    gp.predictRangeInto(queries, 0, queries.size(), full.data(),
-                        scratch, true);
-    // Any chunking produces the same bytes: results are lane-parallel
-    // per candidate.
-    std::vector<GpPrediction> chunked(queries.size());
-    GaussianProcess::BatchScratch scratch2;
-    for (std::size_t lo = 0; lo < queries.size(); lo += 111) {
-        const std::size_t hi = std::min(queries.size(), lo + 111);
-        gp.predictRangeInto(queries, lo, hi, chunked.data() + lo,
-                            scratch2, true);
-    }
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        EXPECT_TRUE(samePrediction(full[i], chunked[i])) << i;
-    // And the means-only pass produces bit-identical means.
-    std::vector<double> means;
-    gp.predictMeansInto(queries, means);
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        EXPECT_EQ(means[i], full[i].mean) << i;
-}
-
-TEST(EngineParallelTest, ThreadedScoringMatchesSerialBitwise)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(30, 3, 51, xs, ys);
     std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(600, 3, 52, candidates, cys);
+    for (const Configuration& c :
+         gen.generate(Configuration::equalPartition(p, 5), rng))
+        candidates.push_back(c.normalizedVector());
+    ASSERT_EQ(xs.front().size(), 15u);
+    ASSERT_GT(candidates.size(), 300u);
 
-    EngineOptions serial;
-    serial.length_scale_grid.clear();
-    EngineOptions threaded = serial;
-    threaded.acq_threads = 4;
-    for (const bool screen : {false, true}) {
-        EngineOptions a = serial;
-        EngineOptions b = threaded;
-        a.screen = screen;
-        b.screen = screen;
-        BoEngine ea(a);
-        BoEngine eb(b);
-        ea.setSamples(xs, ys);
-        eb.setSamples(xs, ys);
-        EXPECT_EQ(ea.suggestIndex(candidates),
-                  eb.suggestIndex(candidates))
-            << "screen=" << screen;
-    }
-}
+    std::vector<double> penalties(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+        penalties[i] = 0.002 * static_cast<double>(i % 7);
 
-// --- candidate screening ---------------------------------------------
-
-TEST(ScreeningTest, UpperBoundDominatesExactScore)
-{
-    Rng rng(61);
     for (const AcquisitionKind kind :
          {AcquisitionKind::ExpectedImprovement, AcquisitionKind::Ucb,
           AcquisitionKind::ProbabilityOfImprovement}) {
-        for (int trial = 0; trial < 2000; ++trial) {
-            const double sigma_max = rng.uniform(0.0, 2.0);
-            GpPrediction pred;
-            pred.mean = rng.uniform(-3.0, 3.0);
-            const double sigma = rng.uniform(0.0, sigma_max);
-            pred.variance = sigma * sigma;
-            const double best = rng.uniform(-3.0, 3.0);
-            const double score =
-                acquisition(kind, pred, best, 0.01, 2.0);
-            const double bound = acquisitionUpperBound(
-                kind, pred.mean, sigma_max, best, 0.01, 2.0);
-            EXPECT_GE(bound, score)
-                << "kind=" << static_cast<int>(kind)
-                << " mean=" << pred.mean << " sigma=" << sigma
-                << " sigma_max=" << sigma_max << " best=" << best;
-        }
+        EngineOptions options;
+        options.acquisition = kind;
+        BoEngine engine(options);
+        engine.setSamples(xs, ys);
+        const std::size_t pick = engine.suggestIndex(candidates);
+        EXPECT_EQ(pick, plainArgmax(engine, candidates, nullptr));
+        EXPECT_EQ(engine.suggestIndex(candidates, penalties),
+                  plainArgmax(engine, candidates, &penalties));
+
+        // An exact duplicate of the winner appended at the end ties
+        // with it; the earlier index must win.
+        std::vector<RealVec> with_dup = candidates;
+        with_dup.push_back(candidates[pick]);
+        EXPECT_EQ(engine.suggestIndex(with_dup), pick);
     }
 }
 
-TEST(ScreeningTest, ScreenedArgmaxMatchesUnscreenedExactly)
-{
-    // The decision contract: screening never changes the suggestion,
-    // tie-breaks included, for every acquisition kind, with and
-    // without penalties.
-    for (const AcquisitionKind kind :
-         {AcquisitionKind::ExpectedImprovement, AcquisitionKind::Ucb,
-          AcquisitionKind::ProbabilityOfImprovement}) {
-        for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-            std::vector<RealVec> xs;
-            std::vector<double> ys;
-            makeDataset(40, 3, seed, xs, ys);
-            std::vector<RealVec> candidates;
-            std::vector<double> cys;
-            makeDataset(300, 3, seed + 1000, candidates, cys);
-            Rng rng(seed + 2000);
-            std::vector<double> penalties;
-            for (std::size_t i = 0; i < candidates.size(); ++i)
-                penalties.push_back(rng.uniform(0.0, 0.2));
-
-            EngineOptions on;
-            on.acquisition = kind;
-            on.length_scale_grid.clear();
-            EngineOptions off = on;
-            off.screen = false;
-            on.screen = true;
-            BoEngine screened(on);
-            BoEngine dense(off);
-            screened.setSamples(xs, ys);
-            dense.setSamples(xs, ys);
-
-            EXPECT_EQ(screened.suggestIndex(candidates),
-                      dense.suggestIndex(candidates))
-                << "kind=" << static_cast<int>(kind)
-                << " seed=" << seed;
-            EXPECT_EQ(screened.suggestIndex(candidates, penalties),
-                      dense.suggestIndex(candidates, penalties))
-                << "kind=" << static_cast<int>(kind)
-                << " seed=" << seed << " (penalized)";
-            const auto& stats = screened.suggestStats();
-            EXPECT_EQ(stats.screen_kept + stats.screen_pruned,
-                      candidates.size());
-        }
-    }
-}
-
-TEST(ScreeningTest, ScreeningPrunesOnSettledLandscapes)
-{
-    // Once the posterior is confident, most candidates fall below
-    // the incumbent's exact score - the win the prefilter exists
-    // for. Pin that it actually prunes here so the exactness test
-    // above is not vacuously passing on all-survivor sets. UCB is
-    // the pruning workhorse: its bound is per-candidate mean plus a
-    // constant, so mean spread wider than beta * maxStddev() prunes.
-    // (EI's bound carries a constant phi(0) * sigma_max term that a
-    // settled landscape's tiny exact scores rarely clear, so EI
-    // screening degrades to keep-everything - still exact, just not
-    // faster; the bench reports the measured pruning fraction.)
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(120, 2, 71, xs, ys);
-    std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(400, 2, 72, candidates, cys);
-    EngineOptions options;
-    options.acquisition = AcquisitionKind::Ucb;
-    options.length_scale_grid.clear();
-    BoEngine engine(options);
-    engine.setSamples(xs, ys);
-    (void)engine.suggestIndex(candidates);
-    const auto& stats = engine.suggestStats();
-    EXPECT_GT(stats.screen_pruned, 0u);
-    EXPECT_GT(stats.screen_kept, 0u);
-}
-
-// --- approximate GP --------------------------------------------------
-
-TEST(ApproxGpTest, TracksExactGpOnSmoothData)
+TEST(EngineTest, StateRoundTripPreservesSuggestIndex)
 {
     std::vector<RealVec> xs;
     std::vector<double> ys;
-    makeDataset(300, 3, 81, xs, ys);
-    GaussianProcess exact(std::make_unique<Matern52Kernel>(0.5), 0.05);
-    exact.fit(xs, ys);
-    ApproxGp approx(std::make_unique<Matern52Kernel>(0.5), 0.05, 32);
-    approx.fit(xs, ys);
-
-    std::vector<RealVec> queries;
-    std::vector<double> qys;
-    makeDataset(100, 3, 82, queries, qys);
-    double se_mean = 0.0;
-    double se_std = 0.0;
-    for (const RealVec& q : queries) {
-        const GpPrediction pe = exact.predict(q);
-        const GpPrediction pa = approx.predict(q);
-        se_mean += (pe.mean - pa.mean) * (pe.mean - pa.mean);
-        const double ds = pe.stddev() - pa.stddev();
-        se_std += ds * ds;
-    }
-    // Loose sanity bounds on a ~[-1.6, 1.6] target range; the bench
-    // gates the measured RMSE tightly against the checked-in
-    // baseline.
-    EXPECT_LT(std::sqrt(se_mean / queries.size()), 0.15);
-    EXPECT_LT(std::sqrt(se_std / queries.size()), 0.15);
-}
-
-TEST(ApproxGpTest, IncrementalReplaysByteStably)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(80, 3, 91, xs, ys);
-    std::vector<RealVec> queries;
-    std::vector<double> qys;
-    makeDataset(10, 3, 92, queries, qys);
-    const auto run = [&](ApproxGp& gp) {
-        gp.setMaxHistory(40);
-        gp.fit({xs.begin(), xs.begin() + 50},
-               {ys.begin(), ys.begin() + 50});
-        for (std::size_t i = 50; i < xs.size(); ++i)
-            gp.addObservation(xs[i], ys[i]);
-        std::vector<GpPrediction> preds;
-        for (const RealVec& q : queries)
-            preds.push_back(gp.predict(q));
-        return preds;
-    };
-    ApproxGp a(std::make_unique<Matern52Kernel>(0.5), 0.05, 16);
-    ApproxGp b(std::make_unique<Matern52Kernel>(0.5), 0.05, 16);
-    const auto pa = run(a);
-    const auto pb = run(b);
-    ASSERT_EQ(a.numSamples(), 40u);
-    EXPECT_GT(a.windowEvictions(), 0u);
-    for (std::size_t i = 0; i < pa.size(); ++i)
-        EXPECT_TRUE(samePrediction(pa[i], pb[i])) << i;
-}
-
-TEST(ApproxGpTest, EngineEntersApproxRegimeAndStaysDecisive)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(64, 3, 93, xs, ys);
-    std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(50, 3, 94, candidates, cys);
-
-    EngineOptions options;
-    options.length_scale_grid.clear();
-    options.approx = true;
-    options.approx_min_samples = 32;
-    options.approx_inducing = 16;
-    BoEngine engine(options);
-    engine.setSamples({xs.begin(), xs.begin() + 16},
-                      {ys.begin(), ys.begin() + 16});
-    (void)engine.suggestIndex(candidates);
-    EXPECT_FALSE(engine.suggestStats().approx_active);
-    for (std::size_t i = 16; i < xs.size(); ++i)
-        engine.addSample(xs[i], ys[i]);
-    const std::size_t pick = engine.suggestIndex(candidates);
-    EXPECT_LT(pick, candidates.size());
-    EXPECT_TRUE(engine.suggestStats().approx_active);
-    const GpPrediction pred = engine.predict(candidates[pick]);
-    EXPECT_TRUE(std::isfinite(pred.mean));
-    EXPECT_TRUE(std::isfinite(pred.variance));
-    const std::vector<double> means = engine.probeMeans(candidates);
-    EXPECT_EQ(means.size(), candidates.size());
-}
-
-TEST(ApproxGpTest, CachedMissMatchesBatchBitwise)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(100, 4, 96, xs, ys);
-    std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(300, 4, 97, candidates, cys);
-    ApproxGp gp(std::make_unique<Matern52Kernel>(0.6), 0.05, 16);
-    gp.fit(xs, ys);
-    std::vector<GpPrediction> direct;
-    gp.predictBatchInto(candidates, direct);
-    std::vector<GpPrediction> cached;
-    gp.predictBatchCachedInto(candidates, cached);
-    EXPECT_EQ(gp.cacheMisses(), 1u);
-    EXPECT_EQ(gp.cacheHits(), 0u);
-    ASSERT_EQ(cached.size(), direct.size());
-    // A miss computes exactly what predictBatchInto computes.
-    for (std::size_t i = 0; i < cached.size(); ++i)
-        EXPECT_TRUE(samePrediction(cached[i], direct[i])) << i;
-}
-
-TEST(ApproxGpTest, CachedHitTracksDirectSolveAfterMutations)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(86, 4, 98, xs, ys);
-    std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(300, 4, 99, candidates, cys);
-    ApproxGp gp(std::make_unique<Matern52Kernel>(0.6), 0.05, 16);
-    gp.setMaxHistory(80);
-    gp.fit({xs.begin(), xs.begin() + 80}, {ys.begin(), ys.begin() + 80});
-    std::vector<GpPrediction> cached;
-    gp.predictBatchCachedInto(candidates, cached); // prime (miss)
-    // Six appends + six evictions journal twelve Sherman-Morrison
-    // corrections - within the journal cap, so the next scoring is a
-    // hit that applies them all.
-    for (std::size_t i = 80; i < xs.size(); ++i)
-        gp.addObservation(xs[i], ys[i]);
-    EXPECT_GT(gp.windowEvictions(), 0u);
-    gp.predictBatchCachedInto(candidates, cached);
-    EXPECT_EQ(gp.cacheMisses(), 1u);
-    EXPECT_EQ(gp.cacheHits(), 1u);
-    std::vector<GpPrediction> direct;
-    gp.predictBatchInto(candidates, direct);
-    for (std::size_t i = 0; i < cached.size(); ++i) {
-        // Means come from the live weights, so they stay exact; the
-        // corrected variances track the direct solve to rounding.
-        EXPECT_EQ(cached[i].mean, direct[i].mean) << i;
-        EXPECT_NEAR(cached[i].variance, direct[i].variance, 1e-8) << i;
-    }
-}
-
-TEST(ApproxGpTest, CachedDetectsCandidateContentChange)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(60, 3, 100, xs, ys);
-    std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(50, 3, 101, candidates, cys);
-    ApproxGp gp(std::make_unique<Matern52Kernel>(0.6), 0.05, 8);
-    gp.fit(xs, ys);
-    std::vector<GpPrediction> preds;
-    gp.predictBatchCachedInto(candidates, preds);
-    gp.predictBatchCachedInto(candidates, preds);
-    EXPECT_EQ(gp.cacheMisses(), 1u);
-    EXPECT_EQ(gp.cacheHits(), 1u);
-    candidates[17][1] = std::nextafter(
-        candidates[17][1], std::numeric_limits<double>::infinity());
-    gp.predictBatchCachedInto(candidates, preds);
-    EXPECT_EQ(gp.cacheMisses(), 2u);
-    std::vector<GpPrediction> direct;
-    gp.predictBatchInto(candidates, direct);
-    for (std::size_t i = 0; i < preds.size(); ++i)
-        EXPECT_TRUE(samePrediction(preds[i], direct[i])) << i;
-}
-
-TEST(ApproxGpTest, CachedScoringReplaysByteStably)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(90, 3, 102, xs, ys);
-    std::vector<RealVec> candidates;
-    std::vector<double> cys;
-    makeDataset(80, 3, 103, candidates, cys);
-    const auto run = [&](ApproxGp& gp) {
-        gp.setMaxHistory(50);
-        gp.fit({xs.begin(), xs.begin() + 60},
-               {ys.begin(), ys.begin() + 60});
-        std::vector<GpPrediction> preds;
-        gp.predictBatchCachedInto(candidates, preds);
-        for (std::size_t i = 60; i < xs.size(); ++i) {
-            gp.addObservation(xs[i], ys[i]);
-            gp.predictBatchCachedInto(candidates, preds);
-        }
-        return preds;
-    };
-    ApproxGp a(std::make_unique<Matern52Kernel>(0.5), 0.05, 16);
-    ApproxGp b(std::make_unique<Matern52Kernel>(0.5), 0.05, 16);
-    const auto pa = run(a);
-    const auto pb = run(b);
-    EXPECT_EQ(a.cacheHits(), b.cacheHits());
-    EXPECT_GT(a.cacheHits(), 0u);
-    for (std::size_t i = 0; i < pa.size(); ++i)
-        EXPECT_TRUE(samePrediction(pa[i], pb[i])) << i;
-}
-
-// --- windowed engine + persist round-trip ----------------------------
-
-TEST(EngineWindowTest, WindowBoundsEngineHistory)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(40, 2, 95, xs, ys);
-    EngineOptions options;
-    options.length_scale_grid.clear();
-    options.max_history = 12;
-    BoEngine engine(options);
-    engine.setSamples({xs.begin(), xs.begin() + 10},
-                      {ys.begin(), ys.begin() + 10});
-    for (std::size_t i = 10; i < xs.size(); ++i)
-        engine.addSample(xs[i], ys[i]);
-    EXPECT_EQ(engine.numSamples(), 12u);
-    // bestObserved covers the window only - the engine's history and
-    // the GP's training set stay the same bounded suffix.
-    const double best_window =
-        *std::max_element(ys.end() - 12, ys.end());
-    EXPECT_DOUBLE_EQ(engine.bestObserved(), best_window);
-    (void)engine.suggestIndex({xs.begin(), xs.begin() + 5});
-    EXPECT_GT(engine.suggestStats().window_evictions, 0u);
-}
-
-TEST(EngineWindowTest, StateRoundTripsThroughPersistV2)
-{
-    std::vector<RealVec> xs;
-    std::vector<double> ys;
-    makeDataset(30, 2, 96, xs, ys);
+    makeDataset(41, 2, 96, xs, ys);
     std::vector<RealVec> candidates;
     std::vector<double> cys;
     makeDataset(60, 2, 97, candidates, cys);
 
+    // 31 fits: the grid refit at fit 20 moves the length scale off
+    // its initial 0.5 (the grid excludes it) and leaves the next
+    // refit 9 fits away, so the restore must carry both.
     EngineOptions options;
-    options.length_scale_grid.clear();
-    options.max_history = 16;
+    options.length_scale_grid = {0.2, 0.35};
     BoEngine engine(options);
-    engine.setSamples({xs.begin(), xs.begin() + 20},
-                      {ys.begin(), ys.begin() + 20});
-    for (std::size_t i = 20; i < xs.size(); ++i)
+    engine.setSamples({xs.begin(), xs.begin() + 10},
+                      {ys.begin(), ys.begin() + 10});
+    for (std::size_t i = 10; i < 40; ++i)
         engine.addSample(xs[i], ys[i]);
 
     persist::StateWriter w;
@@ -1102,6 +710,16 @@ TEST(EngineWindowTest, StateRoundTripsThroughPersistV2)
     restored.restoreState(r);
     EXPECT_EQ(restored.numSamples(), engine.numSamples());
     EXPECT_DOUBLE_EQ(restored.bestObserved(), engine.bestObserved());
+    EXPECT_EQ(restored.suggestIndex(candidates),
+              engine.suggestIndex(candidates));
+    for (const RealVec& c : candidates) {
+        EXPECT_EQ(restored.predict(c).mean, engine.predict(c).mean);
+        EXPECT_EQ(restored.predict(c).variance,
+                  engine.predict(c).variance);
+    }
+
+    engine.addSample(xs[40], ys[40]);
+    restored.addSample(xs[40], ys[40]);
     EXPECT_EQ(restored.suggestIndex(candidates),
               engine.suggestIndex(candidates));
 }

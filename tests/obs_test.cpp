@@ -293,10 +293,6 @@ sampleDecision()
     rec.proxy_change_pct = 1.5;
     rec.chosen_config = "[2,3|4,5]";
     rec.outcome = "explore";
-    rec.screen_kept = 9;
-    rec.screen_pruned = 55;
-    rec.window_evictions = 3;
-    rec.approx_active = true;
     return rec;
 }
 
@@ -321,9 +317,7 @@ TEST(DecisionAuditTest, JsonLinesGolden)
         "\"settled\":false,\"throughput\":0.75,\"fairness\":0.5,"
         "\"w_t\":0.6,\"w_f\":0.4,\"objective\":0.65,\"bo_samples\":12,"
         "\"proxy_change_pct\":1.5,\"chosen_config\":\"[2,3|4,5]\","
-        "\"outcome\":\"explore\",\"screen_kept\":9,"
-        "\"screen_pruned\":55,\"window_evictions\":3,"
-        "\"approx_active\":true}\n";
+        "\"outcome\":\"explore\"}\n";
     EXPECT_EQ(channel.jsonLines(), expected);
 }
 

@@ -222,50 +222,6 @@ TEST(SimdKernelTest, FastExpNegIsAccurate)
     }
 }
 
-TEST(SimdKernelTest, Matern52FromSqDistMatchesReferenceBitwise)
-{
-    Rng rng(808);
-    const double inv_ls = std::sqrt(5.0) / 0.7;
-    for (const std::size_t n : kSizes) {
-        auto d2 = randomVec(rng, n, 0.0, 9.0);
-        if (n >= 2) {
-            d2[0] = 0.0;     // self-covariance
-            d2[1] = 1e6;     // deep in the exp underflow tail
-        }
-        std::vector<double> o1(n);
-        std::vector<double> o2(n);
-        matern52FromSqDistInto(o1.data(), d2.data(), inv_ls, 1.3, n);
-        ref::matern52FromSqDistInto(o2.data(), d2.data(), inv_ls, 1.3,
-                                    n);
-        EXPECT_TRUE(bitEqual(o1, o2)) << "n=" << n;
-        // In-place operation is part of the contract.
-        auto o3 = d2;
-        matern52FromSqDistInto(o3.data(), o3.data(), inv_ls, 1.3, n);
-        EXPECT_TRUE(bitEqual(o1, o3)) << "n=" << n;
-    }
-}
-
-TEST(SimdKernelTest, Matern52FromSqDistIsAccurate)
-{
-    Rng rng(909);
-    const double ls = 0.7, sv = 1.3;
-    const double inv_ls = std::sqrt(5.0) / ls;
-    double max_rel = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-        const double r = rng.uniform(1e-6, 4.0);
-        const double d2 = r * r;
-        double got = 0.0;
-        matern52FromSqDistInto(&got, &d2, inv_ls, sv, 1);
-        const double z = std::sqrt(5.0) * r / ls;
-        const double want =
-            sv * (1.0 + z + z * z / 3.0) * std::exp(-z);
-        max_rel = std::max(max_rel, std::fabs(got - want) / want);
-    }
-    // Error comes from the exp approximation plus one reassociated
-    // polynomial; well inside the approximate-GP RMSE budget.
-    EXPECT_LT(max_rel, 1e-8);
-}
-
 TEST(SimdKernelTest, VectorizedReportsConsistently)
 {
     // Just exercises the dispatcher; on machines without AVX2 (or a
