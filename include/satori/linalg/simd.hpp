@@ -8,10 +8,7 @@
  * implementations (no re-association, no FMA contraction). The
  * vector path is therefore bit-identical to the scalar path - a
  * pure throughput optimization - and simd_test pins that with
- * memcmp. The one function with its own numerics, fastExpNegInto(),
- * is an *approximation* of std::exp(-z) that no decision path calls
- * (exact paths keep libm exp()), but it too is bit-identical between
- * its scalar and vector implementations.
+ * memcmp.
  *
  * Dispatch is resolved once at startup: when the library is built
  * with SATORI_SIMD=ON and the CPU reports AVX2, the kernels run the
@@ -80,17 +77,6 @@ void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
  * batched posterior-variance norm accumulation. */
 void accumSquare(double* acc, const double* xs, std::size_t n);
 
-/**
- * out[i] = approximate exp(-z[i]) for i in [0, n). @pre z[i] >= 0.
- *
- * Cody-Waite range reduction with a fixed-order polynomial; relative
- * error is below 1e-9 over the covariance-relevant range (z in
- * [0, 50]), and inputs beyond 708 flush to exactly 0. No decision
- * path calls it - exact paths keep libm exp().
- * In-place operation (out == z) is allowed; partial overlap is not.
- */
-void fastExpNegInto(double* out, const double* z, std::size_t n);
-
 /** Scalar reference implementations - the behaviour contract the
  * vector path must match bit-for-bit (pinned by simd_test). */
 namespace ref {
@@ -105,7 +91,6 @@ void sqDistInto(double* out, const double* const* xs, const double* q,
                 std::size_t dims, std::size_t n);
 void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
 void accumSquare(double* acc, const double* xs, std::size_t n);
-void fastExpNegInto(double* out, const double* z, std::size_t n);
 
 } // namespace ref
 

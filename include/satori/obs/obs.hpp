@@ -74,6 +74,8 @@ struct LibraryMetrics
     Counter& guard_repaired;         ///< Telemetry samples repaired.
     Counter& guard_unusable;         ///< Telemetry samples rejected.
     Counter& faults_injected;        ///< Fault activations flagged.
+    Counter& oracle_searches;        ///< Cold (memo-miss) Oracle searches.
+    Counter& oracle_configs_scored;  ///< Configurations those visited.
     Counter& sim_steps;              ///< Simulated server intervals.
     Counter& harness_intervals;      ///< Harness control intervals.
     Counter& persist_wal_records;    ///< WAL records appended.

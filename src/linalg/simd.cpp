@@ -88,13 +88,6 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         acc[i] += xs[i] * xs[i];
 }
 
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = detail::expNegOne(z[i]);
-}
-
 } // namespace ref
 
 namespace {
@@ -188,15 +181,6 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         ref::accumSquare(acc, xs, n);
 }
 
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    if (kVectorized)
-        avx2::fastExpNegInto(out, z, n);
-    else
-        ref::fastExpNegInto(out, z, n);
-}
-
 #else // !SATORI_SIMD_AVX2
 
 void
@@ -242,12 +226,6 @@ void
 accumSquare(double* acc, const double* xs, std::size_t n)
 {
     ref::accumSquare(acc, xs, n);
-}
-
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    ref::fastExpNegInto(out, z, n);
 }
 
 #endif // SATORI_SIMD_AVX2

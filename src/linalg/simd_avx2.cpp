@@ -14,14 +14,13 @@
  *
  * Every loop body below performs, per lane, exactly the operation
  * sequence of the scalar reference in simd.cpp; remainder elements
- * (n % 4) run the very same scalar helpers. simd_test pins the
+ * (n % 4) run the same scalar operations. simd_test pins the
  * equivalence with memcmp.
  */
 
 #if defined(SATORI_SIMD_AVX2)
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 
 #include "simd_kernels.hpp"
@@ -34,7 +33,6 @@ namespace avx2 {
 namespace {
 
 using v4d = double __attribute__((vector_size(32)));
-using v4i = std::int64_t __attribute__((vector_size(32)));
 
 inline v4d
 load4(const double* p)
@@ -54,44 +52,6 @@ inline v4d
 broadcast(double a)
 {
     return v4d{ a, a, a, a };
-}
-
-/**
- * Four lanes of detail::expNegOne - the same constants, the same
- * operation order.
- */
-inline v4d
-expNeg4(v4d zv)
-{
-    const v4d zmax = broadcast(detail::kZMax);
-    const v4d log2e = broadcast(detail::kLog2E);
-    const v4d shifter = broadcast(detail::kShifter);
-    const v4d ln2hi = broadcast(detail::kLn2Hi);
-    const v4d ln2lo = broadcast(detail::kLn2Lo);
-    const v4d one = broadcast(1.0);
-    // big = all-ones lanes where z > kZMax (flushed to 0 at the end)
-    const v4i big = (v4i)(zv > zmax);
-    const v4d zc = (v4d)(((v4i)zmax & big) | ((v4i)zv & ~big));
-    const v4d t = -zc;
-    const v4d kd = t * log2e + shifter;
-    const v4d kf = kd - shifter;
-    const v4d r_hi = t - kf * ln2hi;
-    const v4d r = r_hi - kf * ln2lo;
-    v4d p = broadcast(detail::kExpC9);
-    p = p * r + broadcast(detail::kExpC8);
-    p = p * r + broadcast(detail::kExpC7);
-    p = p * r + broadcast(detail::kExpC6);
-    p = p * r + broadcast(detail::kExpC5);
-    p = p * r + broadcast(detail::kExpC4);
-    p = p * r + broadcast(detail::kExpC3);
-    p = p * r + broadcast(detail::kExpC2);
-    p = p * r + one;
-    p = p * r + one;
-    const v4i ki = __builtin_convertvector(kf, v4i);
-    const v4i scale_bits = (ki + 1023) << 52;
-    const v4d scale = (v4d)scale_bits;
-    const v4d res = p * scale;
-    return (v4d)((v4i)res & ~big);
 }
 
 } // namespace
@@ -220,16 +180,6 @@ accumSquare(double* acc, const double* xs, std::size_t n)
     }
     for (; i < n; ++i)
         acc[i] += xs[i] * xs[i];
-}
-
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        store4(out + i, expNeg4(load4(z + i)));
-    for (; i < n; ++i)
-        out[i] = detail::expNegOne(z[i]);
 }
 
 } // namespace avx2

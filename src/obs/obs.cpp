@@ -86,6 +86,12 @@ LibraryMetrics::LibraryMetrics(MetricsRegistry& registry)
       faults_injected(registry.counter(
           "satori.faults.injected",
           "Fault-injector activations flagged during runs")),
+      oracle_searches(registry.counter(
+          "satori.oracle.searches",
+          "Cold exhaustive-Oracle searches (memo misses)")),
+      oracle_configs_scored(registry.counter(
+          "satori.oracle.configs_scored",
+          "Configurations scored by cold Oracle searches")),
       sim_steps(registry.counter(
           "satori.sim.steps",
           "Simulated-server interval advances")),

@@ -1,8 +1,10 @@
 #include "satori/sim/offline_eval.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "satori/common/logging.hpp"
+#include "satori/obs/obs.hpp"
 
 namespace satori {
 namespace sim {
@@ -21,6 +23,8 @@ OfflineEvaluator::OfflineEvaluator(const SimulatedServer& server,
     : server_(server), options_(options),
       space_(server.platform(), server.numJobs())
 {
+    if (options_.max_evals == 0)
+        SATORI_FATAL("OfflineEvalOptions::max_evals must be at least 1");
 }
 
 OfflineEvaluator::IpsTables
@@ -114,36 +118,79 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
         return hit->second;
 
     ++searches_;
+    SATORI_OBS_SPAN("oracle.search");
     const IpsTables tables = buildTables(phase_signature);
+    const PlatformSpec& platform = server_.platform();
     const std::size_t num_jobs = server_.numJobs();
-    const std::size_t num_res = server_.platform().numResources();
+    const std::size_t num_res = platform.numResources();
 
     const std::uint64_t total = space_.size();
     const std::uint64_t stride =
         total <= options_.max_evals
             ? 1
             : (total + options_.max_evals - 1) / options_.max_evals;
+    SATORI_OBS_METRIC(oracle_searches.inc());
+    SATORI_OBS_METRIC(
+        oracle_configs_scored.inc((total + stride - 1) / stride));
+
+    // The space is the mixed-radix product of one composition set per
+    // resource (space_.at() order: resource 0 most significant). List
+    // each set once, lexicographically, as per-job IPS-table offsets:
+    // offsets[r][c * num_jobs + j] = (u_j - 1) * stride_r.
+    std::vector<std::uint64_t> radix(num_res);
+    std::vector<std::vector<std::size_t>> offsets(num_res);
+    for (std::size_t r = 0; r < num_res; ++r) {
+        const CompositionSpace comps(platform.units(r),
+                                     static_cast<int>(num_jobs));
+        radix[r] = comps.size();
+        offsets[r].resize(radix[r] * num_jobs);
+        for (std::uint64_t c = 0; c < radix[r]; ++c) {
+            const std::vector<int> parts = comps.at(c);
+            for (std::size_t j = 0; j < num_jobs; ++j) {
+                offsets[r][c * num_jobs + j] =
+                    static_cast<std::size_t>(parts[j] - 1) *
+                    tables.strides[r];
+            }
+        }
+    }
+
+    // Odometer over the composition indices. `outer` holds each job's
+    // summed offsets over every resource but the last (fastest) one
+    // and is recomputed only when an outer digit moves.
+    const std::size_t last = num_res - 1;
+    std::vector<std::uint64_t> digit(num_res, 0);
+    std::vector<std::size_t> outer(num_jobs);
+    const auto refresh_outer = [&] {
+        std::fill(outer.begin(), outer.end(), 0);
+        for (std::size_t r = 0; r < last; ++r) {
+            const std::size_t* row = &offsets[r][digit[r] * num_jobs];
+            for (std::size_t j = 0; j < num_jobs; ++j)
+                outer[j] += row[j];
+        }
+    };
+    refresh_outer();
 
     OracleResult best;
     best.objective = -1.0;
     best.exhaustive = (stride == 1);
+    std::uint64_t best_idx = 0;
 
     const bool fast_metrics =
         options_.tmetric == ThroughputMetric::SumIps &&
         options_.fmetric == FairnessMetric::JainIndex;
 
+    // Raw table pointers: the inner loop is ~5% faster than indexing
+    // through tables.ips on every lookup.
+    std::vector<const double*> ips_table(num_jobs);
+    for (std::size_t j = 0; j < num_jobs; ++j)
+        ips_table[j] = tables.ips[j].data();
     std::vector<double> spd(num_jobs);
     std::vector<Ips> ips_vec(num_jobs);
     for (std::uint64_t idx = 0; idx < total; idx += stride) {
-        const Configuration config = space_.at(idx);
+        const std::size_t* inner = &offsets[last][digit[last] * num_jobs];
         double sum_ips = 0.0;
         for (std::size_t j = 0; j < num_jobs; ++j) {
-            std::size_t flat = 0;
-            for (std::size_t r = 0; r < num_res; ++r) {
-                flat += static_cast<std::size_t>(config.units(r, j) - 1) *
-                        tables.strides[r];
-            }
-            const double ips = tables.ips[j][flat];
+            const double ips = ips_table[j][outer[j] + inner[j]];
             ips_vec[j] = ips;
             sum_ips += ips;
             spd[j] = ips / tables.isolation[j];
@@ -175,9 +222,21 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
             best.objective = objective;
             best.throughput = thr;
             best.fairness = fair;
-            best.config = config;
+            best_idx = idx;
+        }
+
+        // Advance by `stride`, carrying into the outer digits.
+        digit[last] += stride;
+        if (digit[last] >= radix[last]) {
+            for (std::size_t r = last; r > 0 && digit[r] >= radix[r]; --r) {
+                digit[r - 1] += digit[r] / radix[r];
+                digit[r] %= radix[r];
+            }
+            if (digit[0] < radix[0])
+                refresh_outer();
         }
     }
+    best.config = space_.at(best_idx);
     SATORI_ASSERT(best.objective >= 0.0);
     return memo_.emplace(key, std::move(best)).first->second;
 }

@@ -19,6 +19,7 @@
 #include "satori/harness/scenarios.hpp"
 #include "satori/harness/trace.hpp"
 #include "satori/obs/obs.hpp"
+#include "satori/sim/offline_eval.hpp"
 #include "satori/workloads/mixes.hpp"
 
 namespace satori {
@@ -432,7 +433,8 @@ TEST(ObservabilityTest, MacrosAreNoopsWhenDisabled)
 // --- Determinism: obs on vs off must not change decisions -------------
 
 std::string
-runWithTrace(const std::string& path, bool obs_on)
+runWithTrace(const std::string& path, bool obs_on,
+             const std::string& policy_name = "SATORI")
 {
     Observability& o = observability();
     o.resetAll();
@@ -447,7 +449,7 @@ runWithTrace(const std::string& path, bool obs_on)
     p.addResource(ResourceKind::LlcWays, 6);
     auto server = harness::makeServer(
         p, workloads::mixOf({"canneal", "swaptions"}), 5);
-    auto policy = harness::makePolicy("SATORI", server);
+    auto policy = harness::makePolicy(policy_name, server);
 
     {
         harness::TraceWriter trace(path, harness::TraceFormat::Csv);
@@ -470,6 +472,18 @@ TEST(ObservabilityTest, DecisionTraceIsByteIdenticalObsOnVsOff)
     const std::string on_path = "/tmp/satori_obs_det_on.csv";
     const std::string off = runWithTrace(off_path, false);
     const std::string on = runWithTrace(on_path, true);
+    EXPECT_FALSE(off.empty());
+    EXPECT_EQ(off, on);
+    std::remove(off_path.c_str());
+    std::remove(on_path.c_str());
+}
+
+TEST(ObservabilityTest, OracleTraceIsByteIdenticalObsOnVsOff)
+{
+    const std::string off_path = "/tmp/satori_obs_oracle_off.csv";
+    const std::string on_path = "/tmp/satori_obs_oracle_on.csv";
+    const std::string off = runWithTrace(off_path, false, "Balanced-Oracle");
+    const std::string on = runWithTrace(on_path, true, "Balanced-Oracle");
     EXPECT_FALSE(off.empty());
     EXPECT_EQ(off, on);
     std::remove(off_path.c_str());
@@ -520,6 +534,46 @@ TEST(ObservabilityTest, FullRunProducesNestedSpansAndAuditRecords)
     EXPECT_EQ(decides, 30u);
     EXPECT_GT(fits, 0u);
     EXPECT_TRUE(saw_nested_decide);
+    o.resetAll();
+}
+
+TEST(ObservabilityTest, OracleSearchesAreSpannedAndCounted)
+{
+    Observability& o = observability();
+    o.resetAll();
+    o.tracer().setEnabled(true);
+    o.setMetricsEnabled(true);
+
+    PlatformSpec p;
+    p.addResource(ResourceKind::Cores, 4);
+    p.addResource(ResourceKind::LlcWays, 4);
+    auto server = harness::makeServer(
+        p, workloads::mixOf({"canneal", "swaptions"}), 5);
+    const std::vector<std::size_t> sig(server.numJobs(), 0);
+
+    // 3 x 3 = 9 configurations; the memo hit is neither spanned nor
+    // counted.
+    harness::OfflineEvaluator exhaustive(server);
+    ASSERT_EQ(exhaustive.space().size(), 9u);
+    (void)exhaustive.bestFor(sig, 0.5, 0.5);
+    (void)exhaustive.bestFor(sig, 0.5, 0.5);
+    EXPECT_EQ(o.lib().oracle_searches.value(), 1u);
+    EXPECT_EQ(o.lib().oracle_configs_scored.value(), 9u);
+
+    // max_evals = 4 gives stride ceil(9 / 4) = 3: indices 0, 3 and 6.
+    harness::OfflineEvalOptions strided_opt;
+    strided_opt.max_evals = 4;
+    harness::OfflineEvaluator strided(server, strided_opt);
+    (void)strided.bestFor(sig, 0.5, 0.5);
+    EXPECT_EQ(o.lib().oracle_searches.value(), 2u);
+    EXPECT_EQ(o.lib().oracle_configs_scored.value(), 12u);
+
+    std::size_t spans = 0;
+    for (const TraceEvent& e : o.tracer().events()) {
+        if (std::string(e.name) == "oracle.search")
+            ++spans;
+    }
+    EXPECT_EQ(spans, 2u);
     o.resetAll();
 }
 #endif

@@ -2,14 +2,23 @@
  * @file
  * Tests for the offline exhaustive evaluator underpinning the Oracle:
  * correctness against brute-force metric computation, memoization,
- * and the strided-search fallback.
+ * the strided-search fallback, and a differential test of the
+ * odometer enumerator against the per-index unranking loop it
+ * replaced.
  */
+
+#include <algorithm>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "satori/sim/offline_eval.hpp"
+#include "satori/common/logging.hpp"
 #include "satori/harness/scenarios.hpp"
+#include "satori/perfmodel/perf.hpp"
+#include "satori/sim/offline_eval.hpp"
 #include "satori/workloads/mixes.hpp"
+#include "satori/workloads/suites.hpp"
 
 namespace satori {
 namespace harness {
@@ -139,6 +148,247 @@ TEST(OfflineEvalTest, PaperScaleSearchCompletesQuickly)
     const auto& best = eval.bestFor(sig, 0.5, 0.5);
     EXPECT_TRUE(best.exhaustive);
     EXPECT_GT(best.objective, 0.0);
+}
+
+TEST(OfflineEvalTest, ZeroMaxEvalsIsFatal)
+{
+    auto server = makeTinyServer();
+    OfflineEvaluator::Options opt;
+    opt.max_evals = 0;
+    EXPECT_THROW(OfflineEvaluator(server, opt), FatalError);
+}
+
+// --- Differential test: odometer enumerator vs unranking reference ---
+
+/** Per-job IPS tables, built exactly as the evaluator builds them. */
+struct ReferenceTables
+{
+    std::vector<std::vector<double>> ips;
+    std::vector<std::size_t> strides;
+    std::vector<Ips> isolation;
+    double isolation_sum = 0.0;
+};
+
+ReferenceTables
+referenceTables(const sim::SimulatedServer& server,
+                const std::vector<std::size_t>& phase_signature)
+{
+    const PlatformSpec& platform = server.platform();
+    const std::size_t num_jobs = server.numJobs();
+    const std::size_t num_res = platform.numResources();
+
+    ReferenceTables t;
+    std::vector<int> dims(num_res);
+    t.strides.assign(num_res, 0);
+    std::size_t table_size = 1;
+    for (std::size_t r = 0; r < num_res; ++r) {
+        dims[r] = platform.units(r) - static_cast<int>(num_jobs) + 1;
+        t.strides[r] = table_size;
+        table_size *= static_cast<std::size_t>(dims[r]);
+    }
+
+    t.ips.assign(num_jobs, std::vector<double>(table_size, 0.0));
+    std::vector<std::vector<int>> alloc(
+        num_res, std::vector<int>(num_jobs, 1));
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+        std::vector<int> units(num_res, 1);
+        for (std::size_t flat = 0; flat < table_size; ++flat) {
+            for (std::size_t r = 0; r < num_res; ++r)
+                alloc[r][j] = units[r];
+            const Configuration scratch(alloc);
+            const auto view = server.allocationView(scratch, j);
+            const auto& phase =
+                server.job(j).profile().phases.at(phase_signature[j]);
+            t.ips[j][flat] =
+                perfmodel::evaluatePhase(phase, server.machine(), view)
+                    .ips;
+            for (std::size_t r = 0; r < num_res; ++r) {
+                if (units[r] < dims[r]) {
+                    ++units[r];
+                    break;
+                }
+                units[r] = 1;
+            }
+        }
+        for (std::size_t r = 0; r < num_res; ++r)
+            alloc[r][j] = 1;
+    }
+
+    t.isolation.resize(num_jobs);
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+        t.isolation[j] = server.isolationIpsAt(j, phase_signature[j]);
+        t.isolation_sum += t.isolation[j];
+    }
+    return t;
+}
+
+/**
+ * The scoring loop the odometer replaced, kept verbatim: unrank every
+ * visited index with space.at(), look each job up in its table, and
+ * copy the Configuration on every improvement.
+ */
+OracleResult
+referenceBestFor(const sim::SimulatedServer& server,
+                 const OfflineEvalOptions& options,
+                 const std::vector<std::size_t>& phase_signature,
+                 double w_t, double w_f)
+{
+    const ConfigurationSpace space(server.platform(), server.numJobs());
+    const ReferenceTables tables = referenceTables(server, phase_signature);
+    const std::size_t num_jobs = server.numJobs();
+    const std::size_t num_res = server.platform().numResources();
+
+    const std::uint64_t total = space.size();
+    const std::uint64_t stride =
+        total <= options.max_evals
+            ? 1
+            : (total + options.max_evals - 1) / options.max_evals;
+
+    OracleResult best;
+    best.objective = -1.0;
+    best.exhaustive = (stride == 1);
+
+    const bool fast_metrics =
+        options.tmetric == ThroughputMetric::SumIps &&
+        options.fmetric == FairnessMetric::JainIndex;
+
+    std::vector<double> spd(num_jobs);
+    std::vector<Ips> ips_vec(num_jobs);
+    for (std::uint64_t idx = 0; idx < total; idx += stride) {
+        const Configuration config = space.at(idx);
+        double sum_ips = 0.0;
+        for (std::size_t j = 0; j < num_jobs; ++j) {
+            std::size_t flat = 0;
+            for (std::size_t r = 0; r < num_res; ++r) {
+                flat += static_cast<std::size_t>(config.units(r, j) - 1) *
+                        tables.strides[r];
+            }
+            const double ips = tables.ips[j][flat];
+            ips_vec[j] = ips;
+            sum_ips += ips;
+            spd[j] = ips / tables.isolation[j];
+        }
+        double thr, fair;
+        if (fast_metrics) {
+            double m = 0.0;
+            for (double s : spd)
+                m += s;
+            m /= static_cast<double>(num_jobs);
+            double ss = 0.0;
+            for (double s : spd)
+                ss += (s - m) * (s - m);
+            const double var = ss / static_cast<double>(num_jobs);
+            const double cov2 = m > 0.0 ? var / (m * m) : 0.0;
+            fair = 1.0 / (1.0 + cov2);
+            thr = std::min(sum_ips / tables.isolation_sum /
+                               colocationThroughputScale(num_jobs),
+                           1.0);
+        } else {
+            thr = normalizedThroughput(options.tmetric, ips_vec,
+                                       tables.isolation);
+            fair = normalizedFairness(options.fmetric, spd);
+        }
+
+        const double objective = w_t * thr + w_f * fair;
+        if (objective > best.objective) {
+            best.objective = objective;
+            best.throughput = thr;
+            best.fairness = fair;
+            best.config = config;
+        }
+    }
+    return best;
+}
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Phase signatures: all jobs in phase 0, then staggered phases. */
+std::vector<std::vector<std::size_t>>
+phaseSignatures(const sim::SimulatedServer& server)
+{
+    std::vector<std::size_t> first(server.numJobs(), 0);
+    std::vector<std::size_t> staggered(server.numJobs(), 0);
+    for (std::size_t j = 0; j < server.numJobs(); ++j) {
+        staggered[j] =
+            (j + 1) % server.job(j).profile().phases.size();
+    }
+    return {first, staggered};
+}
+
+/** The Throughput, Fairness and Balanced Oracle weights. */
+const std::pair<double, double> kOracleWeights[] = {
+    {1.0, 0.0}, {0.0, 1.0}, {0.5, 0.5}};
+
+/**
+ * Compare bestFor against the reference for every phase signature and
+ * Oracle weight pair on @p server; returns the number of searches.
+ */
+std::size_t
+expectMatchesReference(const sim::SimulatedServer& server,
+                       const OfflineEvalOptions& options,
+                       const std::string& label)
+{
+    OfflineEvaluator eval(server, options);
+    std::size_t searches = 0;
+    for (const auto& sig : phaseSignatures(server)) {
+        for (const auto& [w_t, w_f] : kOracleWeights) {
+            const OracleResult& got = eval.bestFor(sig, w_t, w_f);
+            const OracleResult want =
+                referenceBestFor(server, options, sig, w_t, w_f);
+            const std::string where = label + " w_t=" +
+                                      std::to_string(w_t) +
+                                      " sig1=" + std::to_string(sig[1]);
+            EXPECT_TRUE(got.config == want.config) << where;
+            EXPECT_TRUE(bitEqual(got.objective, want.objective)) << where;
+            EXPECT_TRUE(bitEqual(got.throughput, want.throughput))
+                << where;
+            EXPECT_TRUE(bitEqual(got.fairness, want.fairness)) << where;
+            EXPECT_EQ(got.exhaustive, want.exhaustive) << where;
+            ++searches;
+        }
+    }
+    return searches;
+}
+
+TEST(OfflineEvalTest, EnumeratorMatchesUnrankingReference)
+{
+    // Every 5-job PARSEC mix on the small testbed (35^3 configs each).
+    std::size_t searches = 0;
+    for (const auto& mix : workloads::allMixes(workloads::parsecSuite(), 5)) {
+        const auto server =
+            makeServer(PlatformSpec::smallTestbed(), mix, 42);
+        searches += expectMatchesReference(server, {}, mix.label);
+    }
+    EXPECT_EQ(searches, 21u * 2u * 3u);
+
+    const auto parsec5 =
+        workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
+                          "freqmine", "streamcluster"});
+
+    // Strided searches: the odometer carries by more than one digit
+    // step. Paper testbed at stride 34; the 4-resource extended
+    // testbed (117M configs) at a stride of several hundred.
+    OfflineEvalOptions strided;
+    strided.max_evals = 100003;
+    (void)expectMatchesReference(
+        makeServer(PlatformSpec::paperTestbed(), parsec5, 42), strided,
+        "paper/stride");
+    strided.max_evals = 200000;
+    (void)expectMatchesReference(
+        makeServer(PlatformSpec::extendedTestbed(), parsec5, 42), strided,
+        "extended/stride");
+
+    // The generic-metric branch.
+    OfflineEvalOptions generic;
+    generic.tmetric = ThroughputMetric::GeomeanSpeedup;
+    generic.fmetric = FairnessMetric::OneMinusCov;
+    (void)expectMatchesReference(
+        makeServer(PlatformSpec::smallTestbed(), parsec5, 42), generic,
+        "small/generic");
 }
 
 } // namespace

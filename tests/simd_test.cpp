@@ -5,11 +5,9 @@
  * kernels and the scalar references in simd::ref - the library
  * promises that SATORI_SIMD is a pure throughput toggle, and every
  * exactness contract upstream (solve bitwise-stability, decision
- * traces) leans on it. fastExpNegInto additionally gets an accuracy
- * check against libm, since it approximates exp(-z) by design.
+ * traces) leans on it.
  */
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -168,57 +166,6 @@ TEST(SimdKernelTest, AccumSquareMatchesReferenceBitwise)
         accumSquare(a1.data(), xs.data(), n);
         ref::accumSquare(a2.data(), xs.data(), n);
         EXPECT_TRUE(bitEqual(a1, a2)) << "n=" << n;
-    }
-}
-
-TEST(SimdKernelTest, FastExpNegMatchesReferenceBitwise)
-{
-    Rng rng(606);
-    for (const std::size_t n : kSizes) {
-        // Cover the covariance range, the underflow clamp boundary,
-        // and exact zero.
-        auto z = randomVec(rng, n, 0.0, 60.0);
-        if (n >= 4) {
-            z[0] = 0.0;
-            z[1] = 707.9;
-            z[2] = 708.1;
-            z[3] = 1e9;
-        }
-        std::vector<double> o1(n);
-        std::vector<double> o2(n);
-        fastExpNegInto(o1.data(), z.data(), n);
-        ref::fastExpNegInto(o2.data(), z.data(), n);
-        EXPECT_TRUE(bitEqual(o1, o2)) << "n=" << n;
-    }
-}
-
-TEST(SimdKernelTest, FastExpNegIsAccurate)
-{
-    Rng rng(707);
-    double max_rel = 0.0;
-    for (int i = 0; i < 20000; ++i) {
-        const double z = rng.uniform(0.0, 50.0);
-        double got = 0.0;
-        fastExpNegInto(&got, &z, 1);
-        const double want = std::exp(-z);
-        const double rel = std::fabs(got - want) / want;
-        max_rel = std::max(max_rel, rel);
-    }
-    // The doc contract promises < 1e-9 relative over the covariance
-    // range; enforced with headroom.
-    EXPECT_LT(max_rel, 1e-9);
-
-    // Clamp/edge behaviour.
-    const double edges[] = { 0.0, 1e-300, 708.0, 708.5, 1e12 };
-    for (const double z : edges) {
-        double got = -1.0;
-        fastExpNegInto(&got, &z, 1);
-        if (z > 708.0) {
-            EXPECT_EQ(got, 0.0) << "z=" << z;
-        } else {
-            EXPECT_NEAR(got, std::exp(-z), 1e-9 * std::exp(-z))
-                << "z=" << z;
-        }
     }
 }
 
