@@ -30,9 +30,6 @@ struct CandidateOptions
     /** Uniform random candidates per round. */
     std::size_t num_random = 256;
 
-    /** Include all one-unit neighbors of the incumbent best. */
-    bool include_neighbors = true;
-
     /** Include the structured "good" seed configurations. */
     bool include_seeds = true;
 
@@ -69,8 +66,8 @@ class CandidateGenerator
     [[nodiscard]] std::vector<Configuration> concentratedConfigurations() const;
 
     /**
-     * One round of candidates: random samples, neighbors of
-     * @p incumbent (if enabled), seeds, and the concentration set,
+     * One round of candidates: random samples, all one-unit
+     * neighbors of @p incumbent, seeds, and the concentration set,
      * deduplicated by rank.
      */
     [[nodiscard]] std::vector<Configuration> generate(const Configuration& incumbent,

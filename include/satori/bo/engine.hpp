@@ -109,14 +109,6 @@ class BoEngine
      */
     [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates) const;
 
-    /**
-     * Like suggestIndex(), but subtracting a per-candidate penalty
-     * from the acquisition score (e.g. a reconfiguration cost, in
-     * standardized-objective units). @pre penalties matches size.
-     */
-    [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates,
-                             const std::vector<double>& penalties) const;
-
     /** Posterior prediction at @p x (for diagnostics and figures). */
     [[nodiscard]] GpPrediction predict(const RealVec& x) const;
 
@@ -151,11 +143,6 @@ class BoEngine
      * without a prefix re-comparison).
      */
     void refit(bool appended);
-
-    /** Shared acquisition maximization (penalties may be null). */
-    [[nodiscard]] std::size_t suggestImpl(
-        const std::vector<RealVec>& candidates,
-        const std::vector<double>* penalties) const;
 
     EngineOptions options_;
     std::unique_ptr<GaussianProcess> gp_;

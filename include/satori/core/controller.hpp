@@ -15,7 +15,6 @@
 #include "satori/bo/engine.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
-#include "satori/core/change_detector.hpp"
 #include "satori/core/goal_record.hpp"
 #include "satori/core/objective.hpp"
 #include "satori/core/telemetry_guard.hpp"
@@ -78,7 +77,11 @@ struct ResilienceOptions
     }
 };
 
-/** Everything tunable about a SATORI instance. */
+/**
+ * Everything tunable about a SATORI instance. The settle/reactivation
+ * constants no caller varies (record window, seed count, incumbent
+ * discount, thresholds, burst cap) are fixed in controller.cpp.
+ */
 struct SatoriOptions
 {
     GoalMode mode = GoalMode::Balanced;
@@ -86,12 +89,6 @@ struct SatoriOptions
     bo::EngineOptions engine;
     bo::CandidateOptions candidates;
     ObjectiveSpec objective;
-
-    /** Samples retained for proxy-model reconstruction. */
-    std::size_t window = 120;
-
-    /** RNG seed for candidate sampling. */
-    std::uint64_t seed = 7;
 
     /** Probe points kept for Fig. 17(b) proxy-change diagnostics. */
     std::size_t num_probes = 48;
@@ -104,85 +101,6 @@ struct SatoriOptions
      * optimal configuration detection"). 0 disables settling.
      */
     std::size_t stall_intervals = 12;
-
-    /** Minimum samples before settling is allowed. */
-    std::size_t min_explore_samples = 40;
-
-    /**
-     * Reconfiguration-aware acquisition: acquisition scores are
-     * reduced by this much per unit of allocation moved relative to
-     * the currently running configuration, reflecting the transient
-     * cost of migrations and cache re-warming on real hardware.
-     */
-    double switch_penalty = 0.0;
-
-    /**
-     * While exploring, run the incumbent-best configuration every
-     * this many decisions instead of the acquisition suggestion, so
-     * jobs are not stuck on speculative configurations throughout a
-     * search burst (0 disables interleaving).
-     */
-    std::size_t exploit_period = 0;
-
-    /**
-     * Intervals each explored configuration is held before the next
-     * suggestion, amortizing the reconfiguration transient and
-     * averaging measurement noise over repeated samples.
-     */
-    std::size_t dwell_intervals = 1;
-
-    /** Maximum structured seed configurations evaluated at warm-up. */
-    std::size_t max_seeds = 9;
-
-    /**
-     * Uncertainty discount applied when selecting the incumbent or
-     * the settle configuration from noisy records: score = mean -
-     * kappa / sqrt(effective evaluations). Guards against settling on
-     * a configuration that measured well once by luck.
-     */
-    double incumbent_kappa = 0.04;
-
-    /**
-     * Fractional drop of the measured balanced objective below its
-     * settled reference that re-activates exploration (the paper:
-     * SATORI "is invoked only when the performance of a specific job
-     * changes significantly or the job mix changes"). Two consecutive
-     * violating intervals are required to filter noise.
-     */
-    double reactivate_threshold = 0.08;
-
-    /**
-     * Per-job trigger (the paper: SATORI is re-invoked "when the
-     * performance of a specific job changes significantly"): relative
-     * IPS change of any job versus its settled reference that
-     * re-activates exploration, in either direction (0 disables).
-     */
-    double reactivate_job_threshold = 0.0;
-
-    /**
-     * Use a two-sided CUSUM detector on the balanced objective for
-     * reactivation instead of the fixed-threshold rule - more robust
-     * under heavy measurement noise, slightly slower to react.
-     */
-    bool use_cusum_reactivation = false;
-
-    /** CUSUM tuning (when use_cusum_reactivation is set). */
-    ChangeDetectorOptions cusum;
-
-    /**
-     * On reactivation, trim the goal records to this many most-recent
-     * samples so measurements from the stale program phase do not
-     * drag the incumbent selection (0 keeps everything).
-     */
-    std::size_t reactivate_keep_samples = 30;
-
-    /**
-     * Hard cap on an exploration burst: after this many exploring
-     * iterations SATORI settles on the best configuration found so
-     * far even if the search was still improving, bounding the time
-     * jobs spend under speculative configurations.
-     */
-    std::size_t burst_max_intervals = 20;
 
     /** Telemetry/actuation hardening (on by default). */
     ResilienceOptions resilience;
@@ -304,17 +222,12 @@ class SatoriController final : public PartitioningPolicy
     bool settled_ = false;
     Configuration settled_config_;
     double settled_ref_objective_ = -1.0;
-    std::vector<Ips> settled_ref_ips_;
     int reactivate_strikes_ = 0;
-    int job_strikes_ = 0;
-    int settled_warmup_ = 0; ///< Intervals until refs are anchored.
-    ChangeDetector cusum_;
+    int settled_warmup_ = 0; ///< Intervals until the ref is anchored.
     double best_balanced_ = -1.0;
     std::size_t stall_counter_ = 0;
-    std::size_t explore_steps_ = 0;
     std::size_t burst_len_ = 0;
     Configuration last_decision_;
-    std::size_t dwell_left_ = 0;
 
     // Resilience state (telemetry guard + actuation verification +
     // degraded fallback).

@@ -58,8 +58,8 @@ struct DecisionRecord
     std::string chosen_config; ///< Configuration::toString() form.
 
     /**
-     * How the decision was produced: seed | explore | exploit |
-     * settled | hold | retry-actuation | degraded.
+     * How the decision was produced: seed | explore | settled |
+     * hold | retry-actuation | degraded.
      */
     std::string outcome;
 };

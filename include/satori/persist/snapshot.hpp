@@ -50,8 +50,11 @@ namespace persist {
  * fitted flag, grid-refit phase, training set); v2's decision-path
  * fields (window bound, approximate-GP and screening flags) are gone
  * with the options they recorded, so v2 snapshots are refused as a
- * version mismatch. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+ * version mismatch.
+ * v4: SatoriController::saveState no longer writes the state of its
+ * deleted decision modes (per-job IPS trigger, change-point detector,
+ * exploit interleaving, per-decision hold). */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /** Assembles one snapshot: named sections, then an atomic install. */
 class SnapshotWriter

@@ -54,7 +54,6 @@
 #include "satori/bo/gp.hpp"
 #include "satori/bo/kernel.hpp"
 
-#include "satori/core/change_detector.hpp"
 #include "satori/core/controller.hpp"
 #include "satori/core/goal_record.hpp"
 #include "satori/core/objective.hpp"

@@ -54,10 +54,8 @@ CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
 
     for (std::size_t i = 0; i < options_.num_random; ++i)
         push_unique(space_.sample(rng));
-    if (options_.include_neighbors) {
-        for (auto& n : space_.neighbors(incumbent))
-            push_unique(std::move(n));
-    }
+    for (auto& n : space_.neighbors(incumbent))
+        push_unique(std::move(n));
     if (options_.include_seeds) {
         for (auto& s : seedConfigurations())
             push_unique(std::move(s));

@@ -82,21 +82,6 @@ BoEngine::bestIndex() const
 std::size_t
 BoEngine::suggestIndex(const std::vector<RealVec>& candidates) const
 {
-    return suggestImpl(candidates, nullptr);
-}
-
-std::size_t
-BoEngine::suggestIndex(const std::vector<RealVec>& candidates,
-                       const std::vector<double>& penalties) const
-{
-    SATORI_ASSERT(penalties.size() == candidates.size());
-    return suggestImpl(candidates, &penalties);
-}
-
-std::size_t
-BoEngine::suggestImpl(const std::vector<RealVec>& candidates,
-                      const std::vector<double>* penalties) const
-{
     SATORI_OBS_SPAN("bo.acquisition");
     SATORI_OBS_METRIC(bo_suggests.inc());
     SATORI_OBS_METRIC(bo_candidates.observe(
@@ -108,10 +93,9 @@ BoEngine::suggestImpl(const std::vector<RealVec>& candidates,
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_idx = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        double score = acquisition(options_.acquisition, preds_scratch_[i],
-                                   best, options_.xi, options_.ucb_beta);
-        if (penalties != nullptr)
-            score -= (*penalties)[i];
+        const double score =
+            acquisition(options_.acquisition, preds_scratch_[i], best,
+                        options_.xi, options_.ucb_beta);
         if (score > best_score) {
             best_score = score;
             best_idx = i;

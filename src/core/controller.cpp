@@ -13,6 +13,55 @@
 namespace satori {
 namespace core {
 
+namespace {
+
+/** Samples retained for proxy-model reconstruction. */
+constexpr std::size_t kWindow = 120;
+
+/** RNG seed for candidate sampling. */
+constexpr std::uint64_t kSeed = 7;
+
+/** Minimum samples before settling is allowed. */
+constexpr std::size_t kMinExploreSamples = 40;
+
+/** Maximum structured seed configurations evaluated at warm-up. */
+constexpr std::size_t kMaxSeeds = 9;
+
+/**
+ * Uncertainty discount applied when selecting the incumbent or the
+ * settle configuration from noisy records: score = mean - kappa /
+ * sqrt(effective evaluations). Guards against settling on a
+ * configuration that measured well once by luck.
+ */
+constexpr double kIncumbentKappa = 0.04;
+
+/**
+ * Fractional drop of the measured balanced objective below its
+ * settled reference that re-activates exploration (the paper: SATORI
+ * "is invoked only when the performance of a specific job changes
+ * significantly or the job mix changes"; both show up as a drop of
+ * the combined objective). Two consecutive violating intervals are
+ * required to filter noise.
+ */
+constexpr double kReactivateThreshold = 0.08;
+
+/**
+ * On reactivation, trim the goal records to this many most-recent
+ * samples so measurements from the stale program phase do not drag
+ * the incumbent selection.
+ */
+constexpr std::size_t kReactivateKeepSamples = 30;
+
+/**
+ * Hard cap on an exploration burst: after this many exploring
+ * iterations SATORI settles on the best configuration found so far
+ * even if the search was still improving, bounding the time jobs
+ * spend under speculative configurations.
+ */
+constexpr std::size_t kBurstMaxIntervals = 20;
+
+} // namespace
+
 std::string
 goalModeName(GoalMode mode)
 {
@@ -34,20 +83,18 @@ SatoriController::SatoriController(const PlatformSpec& platform,
                                    SatoriOptions options)
     : options_(std::move(options)), space_(platform, num_jobs),
       candgen_(space_, options_.candidates), engine_(options_.engine),
-      recorder_(options_.objective.numGoals(), options_.window),
-      weight_controller_(options_.weights), rng_(options_.seed),
-      cusum_(options_.cusum),
+      recorder_(options_.objective.numGoals(), kWindow),
+      weight_controller_(options_.weights), rng_(kSeed),
       guard_(num_jobs, options_.resilience.guard),
       equal_config_(Configuration::equalPartition(platform, num_jobs))
 {
     seeds_ = candgen_.seedConfigurations();
-    if (options_.max_seeds > 0 && seeds_.size() > options_.max_seeds) {
+    if (seeds_.size() > kMaxSeeds) {
         // Keep the equal partition plus an even spread of variants.
         std::vector<Configuration> kept;
         kept.push_back(seeds_.front());
         const std::size_t stride =
-            (seeds_.size() - 1 + options_.max_seeds - 2) /
-            (options_.max_seeds - 1);
+            (seeds_.size() - 1 + kMaxSeeds - 2) / (kMaxSeeds - 1);
         for (std::size_t i = 1; i < seeds_.size(); i += stride)
             kept.push_back(seeds_[i]);
         seeds_ = std::move(kept);
@@ -151,15 +198,11 @@ SatoriController::decide(const IntervalObservation& raw_obs)
             stall_counter_ = 0;
             best_balanced_ = -1.0;
             settled_ref_objective_ = -1.0;
-            settled_ref_ips_.clear();
             reactivate_strikes_ = 0;
-            job_strikes_ = 0;
             settled_warmup_ = 0;
             burst_len_ = 0;
-            cusum_.reset();
-            if (options_.reactivate_keep_samples > 0 &&
-                !recorder_.empty())
-                recorder_.trimToRecent(options_.reactivate_keep_samples);
+            if (!recorder_.empty())
+                recorder_.trimToRecent(kReactivateKeepSamples);
         } else {
             diagnostics_.degraded = true;
             diagnostics_.settled = false;
@@ -277,7 +320,7 @@ SatoriController::decideCore(const IntervalObservation& obs)
                 options_.objective.weightVector(w_t, w_f);
             const std::size_t best_i =
                 recorder_.bestSampleByAveragedObjective(
-                    w_now, options_.incumbent_kappa);
+                    w_now, kIncumbentKappa);
             const Configuration& choice =
                 recorder_.sample(best_i).config;
             if (!(choice == settled_config_)) {
@@ -287,52 +330,21 @@ SatoriController::decideCore(const IntervalObservation& obs)
             }
         }
         bool reactivate = false;
-        if (options_.use_cusum_reactivation) {
-            // Alternative detector: two-sided CUSUM on the balanced
-            // objective (calibrates on the first settled samples).
-            reactivate = cusum_.update(balanced_now);
-        } else if (settled_ref_objective_ < 0.0) {
-            // Anchor the references only after the reconfiguration
+        if (settled_ref_objective_ < 0.0) {
+            // Anchor the reference only after the reconfiguration
             // transient of switching to the settled configuration has
             // decayed; otherwise the recovery itself looks like a
             // performance change and re-triggers exploration.
-            if (obs.config == settled_config_ && ++settled_warmup_ >= 3) {
+            if (obs.config == settled_config_ && ++settled_warmup_ >= 3)
                 settled_ref_objective_ = balanced_now;
-                settled_ref_ips_ = obs.ips;
-            }
+        } else if (balanced_now <
+                   settled_ref_objective_ * (1.0 - kReactivateThreshold)) {
+            reactivate = (++reactivate_strikes_ >= 2);
         } else {
-            // Trigger A: the combined objective degraded.
-            if (balanced_now <
-                settled_ref_objective_ *
-                    (1.0 - options_.reactivate_threshold)) {
-                reactivate = (++reactivate_strikes_ >= 2);
-            } else {
-                reactivate_strikes_ = 0;
-                settled_ref_objective_ =
-                    std::max(settled_ref_objective_,
-                             0.9 * settled_ref_objective_ +
-                                 0.1 * balanced_now);
-            }
-            // Trigger B (the paper's wording): a specific job's
-            // performance changed significantly - in either
-            // direction - signalling a phase change that likely
-            // moved the optimum even if our config still scores well.
-            if (!reactivate && options_.reactivate_job_threshold > 0.0) {
-                bool job_moved = false;
-                for (std::size_t j = 0; j < obs.ips.size(); ++j) {
-                    const double ref =
-                        std::max(settled_ref_ips_[j], 1.0);
-                    if (std::abs(obs.ips[j] - ref) / ref >
-                        options_.reactivate_job_threshold) {
-                        job_moved = true;
-                        break;
-                    }
-                }
-                if (job_moved)
-                    reactivate = (++job_strikes_ >= 2);
-                else
-                    job_strikes_ = 0;
-            }
+            reactivate_strikes_ = 0;
+            settled_ref_objective_ =
+                std::max(settled_ref_objective_,
+                         0.9 * settled_ref_objective_ + 0.1 * balanced_now);
         }
         if (!reactivate) {
             last_outcome_ = "settled";
@@ -342,13 +354,10 @@ SatoriController::decideCore(const IntervalObservation& obs)
         stall_counter_ = 0;
         best_balanced_ = -1.0;
         settled_ref_objective_ = -1.0;
-        settled_ref_ips_.clear();
         reactivate_strikes_ = 0;
-        job_strikes_ = 0;
         settled_warmup_ = 0;
         burst_len_ = 0;
-        if (options_.reactivate_keep_samples > 0)
-            recorder_.trimToRecent(options_.reactivate_keep_samples);
+        recorder_.trimToRecent(kReactivateKeepSamples);
     }
     diagnostics_.settled = false;
     ++burst_len_;
@@ -391,22 +400,10 @@ SatoriController::decideCore(const IntervalObservation& obs)
     }
     last_probe_means_ = probe_means;
 
-    // Dwell: hold the previously chosen configuration for a few
-    // intervals to amortize the reconfiguration transient and average
-    // its noisy measurements.
-    if (dwell_left_ > 0) {
-        --dwell_left_;
-        last_outcome_ = "dwell";
-        return last_decision_;
-    }
-
     // (3) During warm-up, evaluate the structured S_init list first
     // (Algorithm 1 input; Sec. V initialization-sensitivity note).
     if (next_seed_ < seeds_.size()) {
         last_decision_ = seeds_[next_seed_++];
-        dwell_left_ = options_.dwell_intervals > 0
-                          ? options_.dwell_intervals - 1
-                          : 0;
         last_outcome_ = "seed";
         return last_decision_;
     }
@@ -416,48 +413,33 @@ SatoriController::decideCore(const IntervalObservation& obs)
     // optimal-configuration detection).
     const bool stalled = options_.stall_intervals > 0 &&
                          stall_counter_ >= options_.stall_intervals;
-    const bool burst_spent = options_.burst_max_intervals > 0 &&
-                             burst_len_ >= options_.burst_max_intervals;
+    const bool burst_spent = burst_len_ >= kBurstMaxIntervals;
     if ((stalled || burst_spent) &&
-        recorder_.size() >= options_.min_explore_samples) {
+        recorder_.size() >= kMinExploreSamples) {
         // Incumbent under the *current dynamic weights*: temporary
         // prioritization decides which configuration wins now, while
         // the equalization mechanism guarantees both goals receive
         // equal weight in the long run (Sec. III-C).
         const std::size_t best_i = recorder_.bestSampleByAveragedObjective(
-            weights, options_.incumbent_kappa);
+            weights, kIncumbentKappa);
         settled_ = true;
         settled_config_ = recorder_.sample(best_i).config;
         settled_ref_objective_ = -1.0;
-        settled_ref_ips_.clear();
         reactivate_strikes_ = 0;
-        job_strikes_ = 0;
         settled_warmup_ = 0;
-        cusum_.reset();
         diagnostics_.settled = true;
         SATORI_OBS_METRIC(controller_settles.inc());
         last_outcome_ = "settled";
         return settled_config_;
     }
 
-    // (4) Maximize the acquisition function over the candidate set,
-    // interleaving exploitation of the incumbent so co-located jobs
-    // are not held on speculative configurations for a whole burst.
+    // (4) Maximize the acquisition function over the candidate set
+    // built around the incumbent best.
     const Configuration& incumbent =
         recorder_
             .sample(recorder_.bestSampleByAveragedObjective(
-                weights, options_.incumbent_kappa))
+                weights, kIncumbentKappa))
             .config;
-    ++explore_steps_;
-    if (options_.exploit_period > 0 &&
-        explore_steps_ % options_.exploit_period == 0) {
-        last_decision_ = incumbent;
-        dwell_left_ = options_.dwell_intervals > 0
-                          ? options_.dwell_intervals - 1
-                          : 0;
-        last_outcome_ = "exploit";
-        return incumbent;
-    }
     std::vector<Configuration> candidates =
         candgen_.generate(incumbent, rng_);
     // Fairness-repair candidates: moves of 1-3 units of each resource
@@ -487,19 +469,10 @@ SatoriController::decideCore(const IntervalObservation& obs)
         }
     }
     std::vector<RealVec> xs;
-    std::vector<double> penalties;
     xs.reserve(candidates.size());
-    penalties.reserve(candidates.size());
-    for (const auto& c : candidates) {
+    for (const auto& c : candidates)
         xs.push_back(c.normalizedVector());
-        penalties.push_back(options_.switch_penalty *
-                            Configuration::l1Distance(obs.config, c));
-    }
-    const std::size_t pick = engine_.suggestIndex(xs, penalties);
-    last_decision_ = candidates[pick];
-    dwell_left_ = options_.dwell_intervals > 0
-                      ? options_.dwell_intervals - 1
-                      : 0;
+    last_decision_ = candidates[engine_.suggestIndex(xs)];
     last_outcome_ = "explore";
     return last_decision_;
 }
@@ -571,16 +544,11 @@ SatoriController::reset()
     last_probe_means_.clear();
     settled_ = false;
     settled_ref_objective_ = -1.0;
-    settled_ref_ips_.clear();
     reactivate_strikes_ = 0;
-    job_strikes_ = 0;
     settled_warmup_ = 0;
-    cusum_.reset();
     best_balanced_ = -1.0;
     stall_counter_ = 0;
-    explore_steps_ = 0;
     burst_len_ = 0;
-    dwell_left_ = 0;
     guard_.reset();
     degraded_ = false;
     unusable_streak_ = 0;
@@ -606,17 +574,12 @@ SatoriController::saveState(persist::StateWriter& w) const
     w.putBool(settled_);
     persist::putConfiguration(w, settled_config_);
     w.putDouble(settled_ref_objective_);
-    w.putDoubleVec(settled_ref_ips_);
     w.putI64(reactivate_strikes_);
-    w.putI64(job_strikes_);
     w.putI64(settled_warmup_);
-    cusum_.saveState(w);
     w.putDouble(best_balanced_);
     w.putSize(stall_counter_);
-    w.putSize(explore_steps_);
     w.putSize(burst_len_);
     persist::putConfiguration(w, last_decision_);
-    w.putSize(dwell_left_);
 
     guard_.saveState(w);
     w.putBool(degraded_);
@@ -662,23 +625,18 @@ SatoriController::restoreState(persist::StateReader& r)
         SATORI_FATAL("controller state seed cursor " +
                      std::to_string(next_seed_) + " exceeds the " +
                      std::to_string(seeds_.size()) + " seeds of this "
-                     "instance (options mismatch?)");
+                     "instance (platform or job-count mismatch?)");
     last_probe_means_ = r.getDoubleVec();
 
     settled_ = r.getBool();
     settled_config_ = persist::getConfiguration(r);
     settled_ref_objective_ = r.getDouble();
-    settled_ref_ips_ = r.getDoubleVec();
     reactivate_strikes_ = static_cast<int>(r.getI64());
-    job_strikes_ = static_cast<int>(r.getI64());
     settled_warmup_ = static_cast<int>(r.getI64());
-    cusum_.restoreState(r);
     best_balanced_ = r.getDouble();
     stall_counter_ = r.getSize();
-    explore_steps_ = r.getSize();
     burst_len_ = r.getSize();
     last_decision_ = persist::getConfiguration(r);
-    dwell_left_ = r.getSize();
 
     guard_.restoreState(r);
     degraded_ = r.getBool();

@@ -414,11 +414,6 @@ TEST(EngineIncrementalTest, IncrementalToggleDoesNotChangeSuggestions)
         EXPECT_EQ(pf.mean, ps.mean);
         EXPECT_EQ(pf.variance, ps.variance);
     }
-
-    // And the penalty overload agrees with the zero-penalty overload.
-    const std::vector<double> zero(candidates.size(), 0.0);
-    EXPECT_EQ(fast.suggestIndex(candidates),
-              fast.suggestIndex(candidates, zero));
 }
 
 TEST(AcquisitionTest, EiZeroWhenNoImprovementPossible)
@@ -500,18 +495,6 @@ TEST(EngineTest, BestObservedTracksMaximum)
     EXPECT_DOUBLE_EQ(engine.bestObserved(), 5.0);
     EXPECT_EQ(engine.bestIndex(), 1u);
     EXPECT_EQ(engine.numSamples(), 3u);
-}
-
-TEST(EngineTest, PenaltiesShiftSelection)
-{
-    BoEngine engine;
-    engine.setSamples({{0.0}, {1.0}}, {0.0, 0.0});
-    const std::vector<RealVec> candidates{{0.4}, {0.6}};
-    // Symmetric situation; a huge penalty on one candidate must force
-    // the other to win regardless of acquisition values.
-    const std::size_t pick =
-        engine.suggestIndex(candidates, {1e9, 0.0});
-    EXPECT_EQ(pick, 1u);
 }
 
 TEST(EngineTest, SetSamplesReplacesHistory)
@@ -611,23 +594,20 @@ makeDataset(std::size_t n, std::size_t dims, std::uint64_t seed,
 
 /**
  * The engine's decision recomputed from its public surface:
- * acquisition(predict(x)) per candidate, minus the penalty, maximized
- * with the first candidate winning ties.
+ * acquisition(predict(x)) per candidate, maximized with the first
+ * candidate winning ties.
  */
 std::size_t
-plainArgmax(const BoEngine& engine, const std::vector<RealVec>& candidates,
-            const std::vector<double>* penalties)
+plainArgmax(const BoEngine& engine, const std::vector<RealVec>& candidates)
 {
     const EngineOptions& o = engine.options();
     const double best = engine.bestObserved();
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_idx = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        double score = acquisition(o.acquisition,
-                                   engine.predict(candidates[i]), best,
-                                   o.xi, o.ucb_beta);
-        if (penalties != nullptr)
-            score -= (*penalties)[i];
+        const double score = acquisition(o.acquisition,
+                                         engine.predict(candidates[i]),
+                                         best, o.xi, o.ucb_beta);
         if (score > best_score) {
             best_score = score;
             best_idx = i;
@@ -659,10 +639,6 @@ TEST(EngineTest, ProductionShapeSuggestionIsPlainFirstWinsArgmax)
     ASSERT_EQ(xs.front().size(), 15u);
     ASSERT_GT(candidates.size(), 300u);
 
-    std::vector<double> penalties(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-        penalties[i] = 0.002 * static_cast<double>(i % 7);
-
     for (const AcquisitionKind kind :
          {AcquisitionKind::ExpectedImprovement, AcquisitionKind::Ucb,
           AcquisitionKind::ProbabilityOfImprovement}) {
@@ -671,9 +647,7 @@ TEST(EngineTest, ProductionShapeSuggestionIsPlainFirstWinsArgmax)
         BoEngine engine(options);
         engine.setSamples(xs, ys);
         const std::size_t pick = engine.suggestIndex(candidates);
-        EXPECT_EQ(pick, plainArgmax(engine, candidates, nullptr));
-        EXPECT_EQ(engine.suggestIndex(candidates, penalties),
-                  plainArgmax(engine, candidates, &penalties));
+        EXPECT_EQ(pick, plainArgmax(engine, candidates));
 
         // An exact duplicate of the winner appended at the end ties
         // with it; the earlier index must win.

@@ -52,9 +52,7 @@ TEST(ControllerTest, AlwaysReturnsValidConfigurations)
 TEST(ControllerTest, WarmupEvaluatesSeedsFirst)
 {
     auto server = makeSmallServer();
-    SatoriOptions o;
-    o.dwell_intervals = 1;
-    SatoriController satori(server.platform(), server.numJobs(), o);
+    SatoriController satori(server.platform(), server.numJobs());
     sim::PerfMonitor monitor(server);
     // The first decision after the initial observation must be the
     // first seed: the equal partition.
@@ -154,19 +152,47 @@ TEST(ControllerTest, ResetForgetsEverything)
                             server.platform(), server.numJobs()));
 }
 
-TEST(ControllerTest, DwellHoldsDecisions)
+/**
+ * Drive the warm-up on the paper testbed and check that it runs the
+ * equal partition, then every @p stride-th single-transfer variant of
+ * CandidateGenerator::seedConfigurations(), @p expected_seeds in all.
+ */
+void
+expectStrideSubsampledSeeds(const std::vector<std::string>& mix,
+                            std::size_t stride, std::size_t expected_seeds)
 {
-    auto server = makeSmallServer();
+    const PlatformSpec platform = PlatformSpec::paperTestbed();
+    auto server = harness::makeServer(platform, workloads::mixOf(mix), 42);
     SatoriOptions o;
-    o.dwell_intervals = 4;
-    SatoriController satori(server.platform(), server.numJobs(), o);
+    o.resilience = ResilienceOptions::vanilla();
+    SatoriController satori(platform, mix.size(), o);
+    const std::vector<Configuration> all =
+        bo::CandidateGenerator(satori.space(), o.candidates)
+            .seedConfigurations();
+    std::vector<Configuration> expected{all.front()};
+    for (std::size_t i = 1; i < all.size(); i += stride)
+        expected.push_back(all[i]);
+    ASSERT_EQ(expected.size(), expected_seeds);
+
     sim::PerfMonitor monitor(server);
-    const Configuration first = satori.decide(monitor.observe(0.1));
-    // The next three decisions repeat the same configuration.
-    for (int i = 0; i < 3; ++i) {
-        server.setConfiguration(first);
-        EXPECT_TRUE(satori.decide(monitor.observe(0.1)) == first);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const Configuration next = satori.decide(monitor.observe(0.1));
+        EXPECT_TRUE(next == expected[i])
+            << "warm-up decision " << i << ": " << next.toString()
+            << " expected " << expected[i].toString();
+        server.setConfiguration(next);
     }
+}
+
+TEST(ControllerTest, WarmupRunsStrideSubsampledSeeds)
+{
+    // 5 jobs: 1 + 24 variants, every 3rd kept -> 9 seeds.
+    expectStrideSubsampledSeeds(
+        {"blackscholes", "canneal", "fluidanimate", "freqmine",
+         "streamcluster"},
+        3, 9);
+    // 3 jobs: 1 + 12 variants, every 2nd kept -> 7 seeds.
+    expectStrideSubsampledSeeds({"canneal", "swaptions", "vips"}, 2, 7);
 }
 
 TEST(ControllerTest, WorksOnRestrictedPlatforms)

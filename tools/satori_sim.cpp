@@ -14,7 +14,9 @@
  *   satori_sim --list-workloads
  */
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "satori/satori.hpp"
@@ -147,6 +150,38 @@ printUsage()
         "                        (lets scrapers observe a live run)\n");
 }
 
+/** The values a numeric flag accepts. */
+enum class Bound
+{
+    Positive,    ///< > 0: durations, job and resource counts.
+    NonNegative, ///< >= 0: seeds, ports, indices, 0-means-off knobs.
+};
+
+/**
+ * Parse @p token as a whole base-10 number (finite, for reals) within
+ * @p bound into @p out; otherwise print "invalid value for <flag>:
+ * <token>" and leave @p out unchanged.
+ */
+template <typename T>
+bool
+parseNumber(const std::string& flag, const char* token, Bound bound, T& out)
+{
+    const char* end = token + std::strlen(token);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(token, end, value);
+    bool ok = ec == std::errc() && ptr == end &&
+              (value > T{} || (bound == Bound::NonNegative && value == T{}));
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(),
+                     token);
+        return false;
+    }
+    out = value;
+    return true;
+}
+
 std::optional<CliArgs>
 parse(int argc, char** argv)
 {
@@ -157,6 +192,12 @@ parse(int argc, char** argv)
             return nullptr;
         }
         return argv[++i];
+    };
+    // The value after a numeric flag, checked against its bound.
+    auto number = [&](int& i, Bound bound, auto& out) {
+        const std::string flag = argv[i];
+        const char* v = need_value(i);
+        return v != nullptr && parseNumber(flag, v, bound, out);
     };
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -180,45 +221,36 @@ parse(int argc, char** argv)
                 return std::nullopt;
             args.suite = v;
         } else if (flag == "--jobs") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::Positive, args.jobs))
                 return std::nullopt;
-            args.jobs = static_cast<std::size_t>(std::atoi(v));
         } else if (flag == "--mix-index") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.mix_index))
                 return std::nullopt;
-            args.mix_index = std::atoi(v);
         } else if (flag == "--policy") {
             if (!(v = need_value(i)))
                 return std::nullopt;
             args.policy = v;
         } else if (flag == "--duration") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::Positive, args.duration))
                 return std::nullopt;
-            args.duration = std::atof(v);
         } else if (flag == "--seed") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.seed))
                 return std::nullopt;
-            args.seed = static_cast<std::uint64_t>(std::atoll(v));
         } else if (flag == "--noise") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.noise))
                 return std::nullopt;
-            args.noise = std::atof(v);
         } else if (flag == "--cores") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::Positive, args.cores))
                 return std::nullopt;
-            args.cores = std::atoi(v);
         } else if (flag == "--ways") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::Positive, args.ways))
                 return std::nullopt;
-            args.ways = std::atoi(v);
         } else if (flag == "--bw") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::Positive, args.bw))
                 return std::nullopt;
-            args.bw = std::atoi(v);
         } else if (flag == "--power") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.power))
                 return std::nullopt;
-            args.power = std::atoi(v);
         } else if (flag == "--fault-plan") {
             if (!(v = need_value(i)))
                 return std::nullopt;
@@ -228,24 +260,20 @@ parse(int argc, char** argv)
                 return std::nullopt;
             args.fault_preset = v;
         } else if (flag == "--fault-seed") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.fault_seed))
                 return std::nullopt;
-            args.fault_seed = static_cast<std::uint64_t>(std::atoll(v));
         } else if (flag == "--checkpoint-dir") {
             if (!(v = need_value(i)))
                 return std::nullopt;
             args.checkpoint_dir = v;
         } else if (flag == "--checkpoint-every") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.checkpoint_every))
                 return std::nullopt;
-            args.checkpoint_every =
-                static_cast<std::size_t>(std::atoll(v));
         } else if (flag == "--resume") {
             args.resume = true;
         } else if (flag == "--kill-at") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.kill_at))
                 return std::nullopt;
-            args.kill_at = static_cast<std::size_t>(std::atoll(v));
         } else if (flag == "--kill-torn") {
             args.kill_torn = true;
         } else if (flag == "--vanilla") {
@@ -279,30 +307,23 @@ parse(int argc, char** argv)
                 return std::nullopt;
             args.audit_out = v;
         } else if (flag == "--audit-capacity") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.audit_capacity))
                 return std::nullopt;
-            args.audit_capacity = static_cast<std::size_t>(std::atoll(v));
         } else if (flag == "--serve-metrics") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.serve_metrics))
                 return std::nullopt;
-            args.serve_metrics = std::atoi(v);
         } else if (flag == "--pace") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.pace_ms))
                 return std::nullopt;
-            args.pace_ms = std::atoi(v);
         } else if (flag == "--history-capacity") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.history_capacity))
                 return std::nullopt;
-            args.history_capacity =
-                static_cast<std::size_t>(std::atoll(v));
         } else if (flag == "--history-age") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.history_age))
                 return std::nullopt;
-            args.history_age = std::atof(v);
         } else if (flag == "--history-bytes") {
-            if (!(v = need_value(i)))
+            if (!number(i, Bound::NonNegative, args.history_bytes))
                 return std::nullopt;
-            args.history_bytes = static_cast<std::size_t>(std::atoll(v));
         } else if (flag == "--history-out") {
             if (!(v = need_value(i)))
                 return std::nullopt;
