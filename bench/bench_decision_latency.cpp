@@ -177,7 +177,7 @@ engineOptions(const std::string& path)
     if (path == "prod")
         return core::SatoriOptions{}.engine;
     bo::EngineOptions opt;
-    opt.length_scale_grid.clear(); // isolate the per-update fit cost
+    opt.grid_refit_period = 0; // isolate the per-update fit cost
     if (path == "full")
         opt.incremental = false;
     return opt;
@@ -222,9 +222,7 @@ runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
         double best_score = -1e300;
         for (std::size_t c = 0; c < d.candidates.size(); ++c) {
             const auto pred = engine.predict(d.candidates[c]);
-            const double score = bo::acquisition(
-                engine.options().acquisition, pred, best,
-                engine.options().xi, engine.options().ucb_beta);
+            const double score = bo::expectedImprovement(pred, best);
             if (score > best_score) {
                 best_score = score;
                 pick = c;

@@ -27,20 +27,16 @@ namespace bo {
 /** Candidate-generation knobs. */
 struct CandidateOptions
 {
-    /** Uniform random candidates per round. */
-    std::size_t num_random = 256;
-
-    /** Include the structured "good" seed configurations. */
-    bool include_seeds = true;
-
     /**
-     * Include concentration candidates: for every (job, resource)
-     * pair, variants of the equal partition that hand that job a
-     * half or maximal share of that resource. These cover the
-     * working-set-cliff regimes that unit-step neighborhoods and
-     * uniform sampling rarely reach.
+     * Add the structured candidates after the 256 uniform samples
+     * and the incumbent's one-unit neighbors: the "good" seed
+     * configurations, and the concentration set - for every
+     * (job, resource) pair, variants of the equal partition that
+     * hand that job a half or maximal share of that resource. The
+     * latter cover the working-set-cliff regimes that unit-step
+     * neighborhoods and uniform sampling rarely reach.
      */
-    bool include_concentrated = true;
+    bool structured = true;
 };
 
 /**
@@ -67,8 +63,8 @@ class CandidateGenerator
 
     /**
      * One round of candidates: random samples, all one-unit
-     * neighbors of @p incumbent, seeds, and the concentration set,
-     * deduplicated by rank.
+     * neighbors of @p incumbent, then (when structured) seeds and the
+     * concentration set, deduplicated by rank.
      */
     [[nodiscard]] std::vector<Configuration> generate(const Configuration& incumbent,
                                         Rng& rng) const;

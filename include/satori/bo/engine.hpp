@@ -12,10 +12,8 @@
 #ifndef SATORI_BO_ENGINE_HPP
 #define SATORI_BO_ENGINE_HPP
 
-#include <memory>
 #include <vector>
 
-#include "satori/bo/acquisition.hpp"
 #include "satori/bo/gp.hpp"
 #include "satori/common/types.hpp"
 
@@ -29,35 +27,19 @@ class StateReader;
 namespace bo {
 
 /**
- * Engine configuration knobs: the GP model, the acquisition function
- * and the hyperparameter-refit schedule. None of them selects a
- * different scoring path - every decision is an exact posterior for
- * every candidate, maximized first-wins.
+ * Engine configuration knobs: the hyperparameter-refit schedule and
+ * the full-refit reference switch. Neither selects a different
+ * scoring path - every decision is an exact Matern 5/2 posterior for
+ * every candidate, maximized first-wins under Expected Improvement.
+ * The GP noise variance, initial length scale and length-scale grid
+ * are fixed in engine.cpp.
  */
 struct EngineOptions
 {
-    /** GP observation-noise variance. */
-    double noise_variance = 0.05;
-
-    /** EI exploration bonus. */
-    double xi = 0.01;
-
-    /** UCB beta (only for AcquisitionKind::Ucb). */
-    double ucb_beta = 2.0;
-
-    /** Which acquisition function to use. */
-    AcquisitionKind acquisition = AcquisitionKind::ExpectedImprovement;
-
-    /** Initial Matern 5/2 length scale on share-normalized inputs. */
-    double length_scale = 0.5;
-
     /**
-     * Length scales to try during periodic marginal-likelihood grid
-     * refits; empty disables adaptation.
+     * Run a marginal-likelihood length-scale grid refit every this
+     * many fits (0 = never).
      */
-    std::vector<double> length_scale_grid = {0.2, 0.35, 0.5, 0.75, 1.0};
-
-    /** Run the grid refit every this many fits (0 = never). */
     std::size_t grid_refit_period = 20;
 
     /**
@@ -94,7 +76,7 @@ class BoEngine
     void addSample(const RealVec& input, double target);
 
     /** True once at least one sample is fitted. */
-    [[nodiscard]] bool ready() const { return gp_->isFitted(); }
+    [[nodiscard]] bool ready() const { return gp_.isFitted(); }
 
     /** Best (largest) target value observed so far. */
     [[nodiscard]] double bestObserved() const;
@@ -103,8 +85,8 @@ class BoEngine
     [[nodiscard]] std::size_t bestIndex() const;
 
     /**
-     * Score all candidates with the acquisition function and return
-     * the index of the best one (the first on ties).
+     * Score all candidates with Expected Improvement and return the
+     * index of the best one (the first on ties).
      * @pre ready() and non-empty.
      */
     [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates) const;
@@ -121,9 +103,6 @@ class BoEngine
 
     /** Number of training samples currently fitted. */
     [[nodiscard]] std::size_t numSamples() const;
-
-    /** The options in force. */
-    [[nodiscard]] const EngineOptions& options() const { return options_; }
 
     /**
      * Serialize a deterministic refit recipe: the training set, the
@@ -145,7 +124,7 @@ class BoEngine
     void refit(bool appended);
 
     EngineOptions options_;
-    std::unique_ptr<GaussianProcess> gp_;
+    GaussianProcess gp_;
     std::vector<RealVec> inputs_;
     std::vector<double> targets_;
     std::size_t fits_since_grid_ = 0;

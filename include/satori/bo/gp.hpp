@@ -8,7 +8,8 @@
 #ifndef SATORI_BO_GP_HPP
 #define SATORI_BO_GP_HPP
 
-#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "satori/bo/kernel.hpp"
@@ -29,7 +30,7 @@ struct GpPrediction
 };
 
 /**
- * Gaussian-process regression with a pluggable kernel and Gaussian
+ * Gaussian-process regression with a Matern 5/2 kernel and Gaussian
  * observation noise. fit() is a full refit (O(n^3)); the incremental
  * paths (addObservation, fitIncremental) reuse the cached kernel
  * matrix and extend the Cholesky factor in place, dropping the
@@ -55,13 +56,8 @@ class GaussianProcess
 {
   public:
     /** @param noise_variance observation-noise variance (>= 0). */
-    explicit GaussianProcess(std::unique_ptr<Kernel> kernel,
+    explicit GaussianProcess(Matern52Kernel kernel,
                              double noise_variance = 1e-4);
-
-    GaussianProcess(const GaussianProcess& other);
-    GaussianProcess& operator=(const GaussianProcess& other);
-    GaussianProcess(GaussianProcess&&) = default;
-    GaussianProcess& operator=(GaussianProcess&&) = default;
 
     /**
      * Fit to @p inputs (n vectors, equal length) and @p targets
@@ -135,13 +131,13 @@ class GaussianProcess
      */
     void fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
                                 const std::vector<double>& targets,
-                                const std::vector<double>& grid);
+                                std::span<const double> grid);
 
     /** Number of training samples in the current fit. */
     [[nodiscard]] std::size_t numSamples() const { return inputs_.size(); }
 
     /** The kernel in use. */
-    [[nodiscard]] const Kernel& kernel() const { return *kernel_; }
+    [[nodiscard]] const Matern52Kernel& kernel() const { return kernel_; }
 
   private:
     /** Full fit of inputs_/y_raw_: rebuild the kernel cache + factor. */
@@ -179,7 +175,7 @@ class GaussianProcess
     void meansBlock(const std::vector<RealVec>& xs, std::size_t b0,
                     std::size_t b1) const;
 
-    std::unique_ptr<Kernel> kernel_;
+    Matern52Kernel kernel_;
     double noise_variance_;
     bool fitted_ = false;
 
@@ -188,7 +184,7 @@ class GaussianProcess
     std::vector<double> y_std_;   // standardized targets
     double y_mean_ = 0.0;
     double y_scale_ = 1.0;
-    std::unique_ptr<linalg::Cholesky> chol_;
+    std::optional<linalg::Cholesky> chol_;
     std::vector<double> alpha_;   // K^-1 y_std
     double log_marginal_ = 0.0;
 
@@ -210,7 +206,7 @@ class GaussianProcess
         std::vector<double> vv;
     };
 
-    // Prediction scratch (not copied; see thread-safety note above).
+    // Prediction scratch (see thread-safety note above).
     mutable BlockScratch scratch_;
 };
 

@@ -16,7 +16,7 @@
  * Work items must not share mutable state. In particular the obs
  * layer's tracer/audit sinks and ExperimentOptions' on_interval /
  * trace / faults hooks are process- or run-shared; callers that set
- * any of those must run serially (repeatPolicy enforces this).
+ * any of those must run serially.
  */
 
 #ifndef SATORI_COMMON_PARALLEL_HPP

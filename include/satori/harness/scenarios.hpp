@@ -38,7 +38,8 @@ namespace harness {
  *        must outlive the returned policy. Non-oracle policies only
  *        use its platform/job count.
  * @param satori_options Used for the SATORI variants (mode overridden
- *        to match the requested variant).
+ *        to match the requested variant); the Oracles maximize with
+ *        the metrics of its objective.
  */
 std::unique_ptr<policies::PartitioningPolicy> makePolicy(
     const std::string& name, const sim::SimulatedServer& server,

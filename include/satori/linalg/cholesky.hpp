@@ -101,33 +101,15 @@ class Cholesky
     [[nodiscard]] std::vector<double> solveLower(const std::vector<double>& b) const;
 
     /**
-     * Blocked multi-RHS forward substitution: solve L y = b for every
-     * *row* of @p b (an m x n matrix of m right-hand sides), returning
-     * an m x n matrix whose rows are the solutions. Each system is
-     * solved with exactly solveLower()'s arithmetic (same subtraction
-     * order, one division per element), so results are bit-identical
-     * to m independent solveLower() calls - the batching only changes
-     * the memory layout the work runs over.
-     * @pre b.cols() == n.
-     */
-    [[nodiscard]] Matrix solveLowerMulti(const Matrix& b) const;
-
-    /**
-     * The blocked kernel behind solveLowerMulti: writes the solutions
-     * TRANSPOSED, as the *columns* of the n x m matrix @p out, reusing
-     * its storage. The transposed layout keeps all m systems adjacent
-     * in the innermost loop (one row of @p out), which is what lets
-     * the substitution vectorize across right-hand sides; per-system
-     * arithmetic order is unchanged, so out(i, c) is bit-identical to
-     * solveLower(row c of b)[i].
-     */
-    void solveLowerMultiInto(const Matrix& b, Matrix& out) const;
-
-    /**
-     * solveLowerMultiInto for right-hand sides that are already
-     * transposed: @p bt is n x m with bt(i, c) = element i of system
-     * c (the natural layout of a sample-major cross-covariance block).
-     * Identical arithmetic, identical output layout.
+     * Blocked multi-RHS forward substitution: @p bt is n x m with
+     * bt(i, c) = element i of system c (the natural layout of a
+     * sample-major cross-covariance block). Writes the solutions as
+     * the *columns* of the n x m matrix @p out, reusing its storage.
+     * The layout keeps all m systems adjacent in the innermost loop
+     * (one row of @p out), which is what lets the substitution
+     * vectorize across right-hand sides; per-system arithmetic order
+     * is solveLower()'s, so out(i, c) is bit-identical to
+     * solveLower(column c of bt)[i].
      * @pre bt.rows() == n.
      */
     void solveLowerMultiTransposedInto(const Matrix& bt, Matrix& out) const;

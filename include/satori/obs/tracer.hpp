@@ -17,8 +17,8 @@
  * exactly this layer).
  *
  * Thread-safety: the tracer is deliberately single-threaded — span
- * begin/end must come from one thread (repeatPolicy falls back to
- * serial execution whenever a tracer sink is attached). Guarding the
+ * begin/end must come from one thread while a sink is attached, so
+ * parallelFor work must not run beside a tracer sink. Guarding the
  * buffer would put a lock on the one-branch disabled path, which the
  * cost contract above forbids; see GUIDE.md §13 for the annotation
  * policy that makes this the documented exception.

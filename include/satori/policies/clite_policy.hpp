@@ -5,7 +5,8 @@
  * adapted to this paper's context exactly as Sec. VI describes - it
  * optimizes a *single static* combined objective with a traditional
  * BO loop (no per-goal records, no dynamic prioritization, random
- * initial samples instead of SATORI's structured seeds).
+ * initial samples instead of SATORI's structured seeds). It
+ * maximizes 0.5 T + 0.5 F with sum-IPS throughput and Jain fairness.
  *
  * The paper reports that, applied to throughput-oriented co-location
  * with two competing objectives, CLITE performs similar to PARTIES
@@ -21,44 +22,16 @@
 #include "satori/bo/engine.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
-#include "satori/metrics/metrics.hpp"
 #include "satori/policies/policy.hpp"
 
 namespace satori {
 namespace policies {
 
-/** CLITE tuning knobs. */
-struct CliteOptions
-{
-    /** Static weights of the combined objective. */
-    double w_t = 0.5;
-    double w_f = 0.5;
-
-    /** Random configurations evaluated before BO starts. */
-    std::size_t init_samples = 8;
-
-    /** Samples retained for the GP. */
-    std::size_t window = 120;
-
-    /** Iterations without improvement before holding the best. */
-    std::size_t stall_intervals = 12;
-
-    /** Objective-drop fraction that resumes sampling. */
-    double reactivate_threshold = 0.08;
-
-    /** RNG seed. */
-    std::uint64_t seed = 19;
-
-    ThroughputMetric tmetric = ThroughputMetric::SumIps;
-    FairnessMetric fmetric = FairnessMetric::JainIndex;
-};
-
 /** Traditional single-objective BO partitioner (CLITE-adapted). */
 class ClitePolicy final : public PartitioningPolicy
 {
   public:
-    ClitePolicy(const PlatformSpec& platform, std::size_t num_jobs,
-                CliteOptions options = {});
+    ClitePolicy(const PlatformSpec& platform, std::size_t num_jobs);
 
     [[nodiscard]] std::string name() const override { return "CLITE"; }
     Configuration decide(const sim::IntervalObservation& obs) override;
@@ -68,9 +41,6 @@ class ClitePolicy final : public PartitioningPolicy
     [[nodiscard]] bool converged() const { return holding_; }
 
   private:
-    [[nodiscard]] double objective(const sim::IntervalObservation& obs) const;
-
-    CliteOptions options_;
     ConfigurationSpace space_;
     bo::CandidateGenerator candgen_;
     bo::BoEngine engine_;

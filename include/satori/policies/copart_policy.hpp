@@ -24,28 +24,11 @@
 namespace satori {
 namespace policies {
 
-/** CoPart tuning knobs. */
-struct CoPartOptions
-{
-    /** Relative slowdown margin that triggers TAKE/GIVE. */
-    double hysteresis = 0.03;
-
-    /**
-     * Controller intervals per FSM epoch: the published CoPart
-     * evaluates its FSMs about once per second.
-     */
-    int period_intervals = 10;
-};
-
 /** Fairness-first two-FSM LLC + memory-bandwidth partitioner. */
 class CoPartPolicy final : public PartitioningPolicy
 {
   public:
-    /** Kept for source compatibility with nested-options style. */
-    using Options = CoPartOptions;
-
-    CoPartPolicy(const PlatformSpec& platform, std::size_t num_jobs,
-                 Options options = {});
+    CoPartPolicy(const PlatformSpec& platform, std::size_t num_jobs);
 
     [[nodiscard]] std::string name() const override { return "CoPart"; }
     Configuration decide(const sim::IntervalObservation& obs) override;
@@ -60,7 +43,6 @@ class CoPartPolicy final : public PartitioningPolicy
 
     PlatformSpec platform_;
     std::size_t num_jobs_;
-    Options options_;
     std::vector<ResourceIndex> managed_; ///< LLC and MB indices.
     Configuration current_;
     std::size_t turn_ = 0; ///< Which FSM acts this epoch.

@@ -23,32 +23,11 @@
 namespace satori {
 namespace policies {
 
-/** dCAT tuning knobs. */
-struct DCatOptions
-{
-    /** Minimum relative throughput gain to accept a transfer. */
-    double accept_epsilon = 0.002;
-
-    /** Intervals a rejected donor/receiver pair stays blocked. */
-    int backoff_intervals = 20;
-
-    /**
-     * Controller intervals per dCAT epoch: the published system
-     * re-evaluates allocations about once per second, i.e. every 10
-     * of SATORI's 100 ms intervals.
-     */
-    int period_intervals = 10;
-};
-
 /** Single-resource (LLC ways) throughput-oriented reallocation. */
 class DCatPolicy final : public PartitioningPolicy
 {
   public:
-    /** Kept for source compatibility with nested-options style. */
-    using Options = DCatOptions;
-
-    DCatPolicy(const PlatformSpec& platform, std::size_t num_jobs,
-               Options options = {});
+    DCatPolicy(const PlatformSpec& platform, std::size_t num_jobs);
 
     [[nodiscard]] std::string name() const override { return "dCAT"; }
     Configuration decide(const sim::IntervalObservation& obs) override;
@@ -59,7 +38,6 @@ class DCatPolicy final : public PartitioningPolicy
 
     PlatformSpec platform_;
     std::size_t num_jobs_;
-    Options options_;
     int llc_index_;
 
     Configuration current_;

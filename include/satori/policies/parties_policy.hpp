@@ -2,7 +2,8 @@
  * @file
  * PARTIES-style baseline (Chen et al., ASPLOS'19), modified per the
  * paper (Sec. IV) to maximize throughput and fairness with equal
- * priority for throughput-oriented workloads.
+ * priority for throughput-oriented workloads: 0.5 T + 0.5 F with
+ * sum-IPS throughput and Jain fairness.
  *
  * PARTIES partitions resources with a gradient-descent method: it
  * adjusts one resource dimension at a time, measures whether the
@@ -16,54 +17,24 @@
 #ifndef SATORI_POLICIES_PARTIES_POLICY_HPP
 #define SATORI_POLICIES_PARTIES_POLICY_HPP
 
-#include "satori/metrics/metrics.hpp"
 #include "satori/policies/policy.hpp"
 
 namespace satori {
 namespace policies {
 
-/** PARTIES tuning knobs. */
-struct PartiesOptions
-{
-    /** Minimum objective gain to accept a move. */
-    double accept_epsilon = 0.001;
-
-    /** Weight on throughput in the modified objective. */
-    double w_t = 0.5;
-
-    /** Weight on fairness in the modified objective. */
-    double w_f = 0.5;
-
-    ThroughputMetric tmetric = ThroughputMetric::SumIps;
-    FairnessMetric fmetric = FairnessMetric::JainIndex;
-
-    /**
-     * Controller intervals per adjustment step: PARTIES monitors a
-     * ~500 ms window before judging each one-resource adjustment.
-     */
-    int period_intervals = 5;
-};
-
 /** Gradient-descent, one-resource-at-a-time partitioner. */
 class PartiesPolicy final : public PartitioningPolicy
 {
   public:
-    /** Kept for source compatibility with nested-options style. */
-    using Options = PartiesOptions;
-
-    PartiesPolicy(const PlatformSpec& platform, std::size_t num_jobs,
-                  Options options = {});
+    PartiesPolicy(const PlatformSpec& platform, std::size_t num_jobs);
 
     [[nodiscard]] std::string name() const override { return "PARTIES"; }
     Configuration decide(const sim::IntervalObservation& obs) override;
     void reset() override;
 
   private:
-    [[nodiscard]] double objective(const sim::IntervalObservation& obs) const;
-
     PlatformSpec platform_;
     std::size_t num_jobs_;
-    Options options_;
 
     Configuration current_;
     bool trial_pending_ = false;

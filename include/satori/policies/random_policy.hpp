@@ -18,8 +18,7 @@ namespace policies {
 class RandomPolicy final : public PartitioningPolicy
 {
   public:
-    RandomPolicy(const PlatformSpec& platform, std::size_t num_jobs,
-                 std::uint64_t seed = 13);
+    RandomPolicy(const PlatformSpec& platform, std::size_t num_jobs);
 
     [[nodiscard]] std::string name() const override { return "Random"; }
     Configuration decide(const sim::IntervalObservation& obs) override;
@@ -27,7 +26,6 @@ class RandomPolicy final : public PartitioningPolicy
 
   private:
     ConfigurationSpace space_;
-    std::uint64_t seed_;
     Rng rng_;
 };
 

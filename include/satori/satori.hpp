@@ -81,7 +81,6 @@
 #include "satori/harness/experiment.hpp"
 #include "satori/sim/offline_eval.hpp"
 #include "satori/harness/parallel.hpp"
-#include "satori/harness/repeat.hpp"
 #include "satori/harness/report.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/harness/trace.hpp"

@@ -7,6 +7,13 @@
 namespace satori {
 namespace bo {
 
+namespace {
+
+/** Uniform random candidates per round. */
+constexpr std::size_t kNumRandom = 256;
+
+} // namespace
+
 CandidateGenerator::CandidateGenerator(const ConfigurationSpace& space,
                                        CandidateOptions options)
     : space_(space), options_(options)
@@ -52,15 +59,13 @@ CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
             out.push_back(std::move(c));
     };
 
-    for (std::size_t i = 0; i < options_.num_random; ++i)
+    for (std::size_t i = 0; i < kNumRandom; ++i)
         push_unique(space_.sample(rng));
     for (auto& n : space_.neighbors(incumbent))
         push_unique(std::move(n));
-    if (options_.include_seeds) {
+    if (options_.structured) {
         for (auto& s : seedConfigurations())
             push_unique(std::move(s));
-    }
-    if (options_.include_concentrated) {
         for (auto& c : concentratedConfigurations())
             push_unique(std::move(c));
     }

@@ -1,9 +1,11 @@
 #include "satori/bo/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "satori/analysis/invariants.hpp"
+#include "satori/bo/acquisition.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/obs/obs.hpp"
 #include "satori/persist/codec.hpp"
@@ -11,11 +13,27 @@
 namespace satori {
 namespace bo {
 
-BoEngine::BoEngine(EngineOptions options) : options_(std::move(options))
+namespace {
+
+/** GP observation-noise variance. */
+constexpr double kNoiseVariance = 0.05;
+
+/** Initial Matern 5/2 length scale on share-normalized inputs. */
+constexpr double kLengthScale = 0.5;
+
+/** Length scales tried by the periodic marginal-likelihood refit. */
+constexpr std::array<double, 5> kLengthScaleGrid = {0.2, 0.35, 0.5, 0.75,
+                                                    1.0};
+
+/** Fewest samples for which the grid refit runs. */
+constexpr std::size_t kGridMinSamples = 8;
+
+} // namespace
+
+BoEngine::BoEngine(EngineOptions options)
+    : options_(options),
+      gp_(Matern52Kernel(kLengthScale), kNoiseVariance)
 {
-    gp_ = std::make_unique<GaussianProcess>(
-        std::make_unique<Matern52Kernel>(options_.length_scale),
-        options_.noise_variance);
 }
 
 void
@@ -45,21 +63,19 @@ BoEngine::refit(bool appended)
     SATORI_OBS_SPAN("bo.fit");
     SATORI_OBS_METRIC(bo_fits.inc());
     ++fits_since_grid_;
-    const bool use_grid = !options_.length_scale_grid.empty() &&
-                          options_.grid_refit_period > 0 &&
+    const bool use_grid = options_.grid_refit_period > 0 &&
                           fits_since_grid_ >= options_.grid_refit_period &&
-                          inputs_.size() >= 8;
+                          inputs_.size() >= kGridMinSamples;
     if (use_grid) {
         SATORI_OBS_METRIC(bo_grid_refits.inc());
-        gp_->fitWithLengthScaleGrid(inputs_, targets_,
-                                    options_.length_scale_grid);
+        gp_.fitWithLengthScaleGrid(inputs_, targets_, kLengthScaleGrid);
         fits_since_grid_ = 0;
     } else if (!options_.incremental) {
-        gp_->fit(inputs_, targets_);
-    } else if (appended && gp_->isFitted()) {
-        gp_->addObservation(inputs_.back(), targets_.back());
+        gp_.fit(inputs_, targets_);
+    } else if (appended && gp_.isFitted()) {
+        gp_.addObservation(inputs_.back(), targets_.back());
     } else {
-        gp_->fitIncremental(inputs_, targets_);
+        gp_.fitIncremental(inputs_, targets_);
     }
 }
 
@@ -89,13 +105,11 @@ BoEngine::suggestIndex(const std::vector<RealVec>& candidates) const
     SATORI_ASSERT(ready());
     SATORI_ASSERT(!candidates.empty());
     const double best = bestObserved();
-    gp_->predictBatchInto(candidates, preds_scratch_);
+    gp_.predictBatchInto(candidates, preds_scratch_);
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_idx = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const double score =
-            acquisition(options_.acquisition, preds_scratch_[i], best,
-                        options_.xi, options_.ucb_beta);
+        const double score = expectedImprovement(preds_scratch_[i], best);
         if (score > best_score) {
             best_score = score;
             best_idx = i;
@@ -108,7 +122,7 @@ GpPrediction
 BoEngine::predict(const RealVec& x) const
 {
     SATORI_ASSERT(ready());
-    return gp_->predict(x);
+    return gp_.predict(x);
 }
 
 std::vector<double>
@@ -119,7 +133,7 @@ BoEngine::probeMeans(const std::vector<RealVec>& probes) const
     std::vector<double> means;
     // Means-only pass: bit-identical means, no per-probe O(n^2)
     // variance solve.
-    gp_->predictMeansInto(probes, means);
+    gp_.predictMeansInto(probes, means);
     return means;
 }
 
@@ -132,7 +146,7 @@ BoEngine::numSamples() const
 void
 BoEngine::saveState(persist::StateWriter& w) const
 {
-    w.putDouble(gp_->kernel().lengthScale());
+    w.putDouble(gp_.kernel().lengthScale());
     w.putBool(ready());
     w.putSize(fits_since_grid_);
     w.putSize(inputs_.size());
@@ -162,11 +176,9 @@ BoEngine::restoreState(persist::StateReader& r)
     // update paths (pinned by the GP tests), so the resumed posterior
     // matches the uninterrupted run exactly. A plain refit does not
     // advance fits_since_grid_, preserving the grid-refit timing.
-    gp_ = std::make_unique<GaussianProcess>(
-        std::make_unique<Matern52Kernel>(length_scale),
-        options_.noise_variance);
+    gp_ = GaussianProcess(Matern52Kernel(length_scale), kNoiseVariance);
     if (fitted && !inputs_.empty())
-        gp_->fit(inputs_, targets_);
+        gp_.fit(inputs_, targets_);
 }
 
 } // namespace bo

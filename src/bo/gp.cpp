@@ -40,35 +40,11 @@ GpPrediction::stddev() const
     return std::sqrt(std::max(variance, 0.0));
 }
 
-GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
+GaussianProcess::GaussianProcess(Matern52Kernel kernel,
                                  double noise_variance)
-    : kernel_(std::move(kernel)), noise_variance_(noise_variance)
+    : kernel_(kernel), noise_variance_(noise_variance)
 {
-    SATORI_ASSERT(kernel_ != nullptr);
     SATORI_ASSERT(noise_variance_ >= 0.0);
-}
-
-GaussianProcess::GaussianProcess(const GaussianProcess& other)
-    : kernel_(other.kernel_->clone()),
-      noise_variance_(other.noise_variance_), fitted_(other.fitted_),
-      inputs_(other.inputs_), y_raw_(other.y_raw_), y_std_(other.y_std_),
-      y_mean_(other.y_mean_), y_scale_(other.y_scale_),
-      chol_(other.chol_
-                ? std::make_unique<linalg::Cholesky>(*other.chol_)
-                : nullptr),
-      alpha_(other.alpha_), log_marginal_(other.log_marginal_),
-      k_cache_(other.k_cache_), anchor_scale_(other.anchor_scale_)
-{
-}
-
-GaussianProcess&
-GaussianProcess::operator=(const GaussianProcess& other)
-{
-    if (this != &other) {
-        GaussianProcess copy(other);
-        *this = std::move(copy);
-    }
-    return *this;
 }
 
 void
@@ -99,7 +75,7 @@ GaussianProcess::buildKernelCache()
     // a stationary kernel (the distance accumulation sees the same
     // operands) and keeps every write contiguous.
     for (std::size_t i = 0; i < n; ++i) {
-        kernel_->covarianceRow(inputs_[i], inputs_, &k_cache_(i, 0));
+        kernel_.covarianceRow(inputs_[i], inputs_, &k_cache_(i, 0));
         k_cache_(i, i) += noise_variance_;
     }
 }
@@ -116,7 +92,7 @@ GaussianProcess::refitFromCache()
         gp_training_size.observe(static_cast<double>(n)));
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkKernelMatrix(
         k_cache_, __FILE__, __LINE__));
-    chol_ = std::make_unique<linalg::Cholesky>(k_cache_);
+    chol_.emplace(k_cache_);
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
         chol_->jitter(), chol_->conditionEstimate(), n, __FILE__,
         __LINE__));
@@ -152,8 +128,8 @@ GaussianProcess::tryExtendFactor(const RealVec& x)
     // upper-triangle order is k(existing_i, new), diagonal gets the
     // kernel self-covariance first, then the noise added on top.
     std::vector<double> cross(n);
-    kernel_->covarianceRow(x, inputs_, cross.data());
-    double diag = kernel_->covariance(x, x);
+    kernel_.covarianceRow(x, inputs_, cross.data());
+    double diag = kernel_.covariance(x, x);
     diag += noise_variance_;
 
     linalg::Matrix grown(n + 1, n + 1);
@@ -267,16 +243,16 @@ GaussianProcess::predict(const RealVec& x) const
     SATORI_ASSERT(fitted_);
     const std::size_t n = inputs_.size();
     std::vector<double> kstar(n);
-    kernel_->covarianceRow(x, inputs_, kstar.data());
+    kernel_.covarianceRow(x, inputs_, kstar.data());
 
     GpPrediction pred;
     pred.mean = y_mean_ + y_scale_ * linalg::dot(kstar, alpha_);
 
     const std::vector<double> v = chol_->solveLower(kstar);
     const double var_std =
-        kernel_->variance() - linalg::dot(v, v);
+        kernel_.variance() - linalg::dot(v, v);
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkPosteriorVariance(
-        var_std, kernel_->variance(), __FILE__, __LINE__));
+        var_std, kernel_.variance(), __FILE__, __LINE__));
     pred.variance = std::max(var_std, 0.0) * y_scale_ * y_scale_;
     return pred;
 }
@@ -293,12 +269,12 @@ GaussianProcess::meansBlock(const std::vector<RealVec>& xs,
     // Cross-covariance block, training-sample-major: row i holds
     // k(inputs_[i], candidate c) for the whole block. Every element is
     // bit-identical to the candidate-major row the per-point path
-    // computes (see Kernel::covarianceCross), the layout just turns
+    // computes (see Matern52Kernel::covarianceCross), the layout just turns
     // the downstream GEMV and multi-solve into contiguous
     // lane-parallel row sweeps.
     for (std::size_t i = 0; i < n; ++i)
-        kernel_->covarianceCross(scratch_.pts, inputs_[i],
-                                 scratch_.kstar_t.rowPtr(i));
+        kernel_.covarianceCross(scratch_.pts, inputs_[i],
+                                scratch_.kstar_t.rowPtr(i));
     // means[c] accumulates alpha_[i] * k* in ascending i - the exact
     // linalg::dot order predict() uses, one lane per candidate.
     scratch_.means.assign(bsz, 0.0);
@@ -329,10 +305,10 @@ GaussianProcess::predictBatchInto(const std::vector<RealVec>& xs,
         for (std::size_t c = 0; c < bsz; ++c) {
             GpPrediction& o = out[b0 + c];
             o.mean = y_mean_ + y_scale_ * scratch_.means[c];
-            const double var_std = kernel_->variance() - scratch_.vv[c];
+            const double var_std = kernel_.variance() - scratch_.vv[c];
             SATORI_AUDIT_HOOK(
                 analysis::globalAuditor().checkPosteriorVariance(
-                    var_std, kernel_->variance(), __FILE__, __LINE__));
+                    var_std, kernel_.variance(), __FILE__, __LINE__));
             o.variance = std::max(var_std, 0.0) * y_scale_ * y_scale_;
         }
     }
@@ -370,15 +346,15 @@ GaussianProcess::logMarginalLikelihood() const
 void
 GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
                                         const std::vector<double>& targets,
-                                        const std::vector<double>& grid)
+                                        std::span<const double> grid)
 {
     SATORI_ASSERT(!grid.empty());
     // Keep the best candidate's full fitted state as the grid runs so
     // the winner can be restored directly instead of paying an extra
     // O(n^3) refit at the end.
     double best_lml = -std::numeric_limits<double>::infinity();
-    std::unique_ptr<Kernel> best_kernel;
-    std::unique_ptr<linalg::Cholesky> best_chol;
+    double best_ls = kernel_.lengthScale();
+    std::optional<linalg::Cholesky> best_chol;
     std::vector<double> best_alpha;
     std::vector<double> best_y_std;
     double best_y_mean = 0.0;
@@ -386,12 +362,12 @@ GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
     double best_anchor = 1.0;
     linalg::Matrix best_cache;
     for (double ls : grid) {
-        kernel_ = kernel_->withLengthScale(ls);
+        kernel_ = Matern52Kernel(ls, kernel_.variance());
         fit(inputs, targets);
         if (log_marginal_ > best_lml) {
             best_lml = log_marginal_;
-            best_kernel = kernel_->clone();
-            best_chol = std::make_unique<linalg::Cholesky>(*chol_);
+            best_ls = ls;
+            best_chol = chol_;
             best_alpha = alpha_;
             best_y_std = y_std_;
             best_y_mean = y_mean_;
@@ -400,7 +376,7 @@ GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
             best_cache = k_cache_;
         }
     }
-    kernel_ = std::move(best_kernel);
+    kernel_ = Matern52Kernel(best_ls, kernel_.variance());
     chol_ = std::move(best_chol);
     alpha_ = std::move(best_alpha);
     y_std_ = std::move(best_y_std);

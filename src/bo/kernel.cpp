@@ -54,29 +54,6 @@ SoaPoints::assign(const std::vector<RealVec>& pts, std::size_t begin,
     }
 }
 
-void
-Kernel::covarianceRow(const RealVec& x, const std::vector<RealVec>& pts,
-                      double* out) const
-{
-    for (std::size_t i = 0; i < pts.size(); ++i)
-        out[i] = covariance(x, pts[i]);
-}
-
-void
-Kernel::covarianceCross(const SoaPoints& pts, const RealVec& q,
-                        double* out) const
-{
-    // Generic fallback: gather each packed point back into a vector
-    // and evaluate pairwise. Kernels with a hot batched path (Matern
-    // 5/2) override this with the SoA-streaming version.
-    RealVec p(pts.dims());
-    for (std::size_t c = 0; c < pts.count(); ++c) {
-        for (std::size_t d = 0; d < pts.dims(); ++d)
-            p[d] = pts.dim(d)[c];
-        out[c] = covariance(q, p);
-    }
-}
-
 Matern52Kernel::Matern52Kernel(double length_scale, double signal_variance)
     : length_scale_(length_scale), signal_variance_(signal_variance)
 {
@@ -99,7 +76,7 @@ Matern52Kernel::covarianceRow(const RealVec& x,
     // Element-for-element the same expressions covariance() evaluates
     // (sqrt(5) is a compile-time constant there too); batching only
     // keeps the distance accumulation inlined in this loop instead of
-    // paying a virtual call + two function calls per point.
+    // paying two function calls per point.
     const std::size_t dims = x.size();
     for (std::size_t p = 0; p < pts.size(); ++p) {
         const RealVec& b = pts[p];
@@ -134,44 +111,6 @@ Matern52Kernel::covarianceCross(const SoaPoints& pts, const RealVec& q,
         out[c] = signal_variance_ * (1.0 + z + z * z / 3.0) *
                  std::exp(-z);
     }
-}
-
-std::unique_ptr<Kernel>
-Matern52Kernel::withLengthScale(double ls) const
-{
-    return std::make_unique<Matern52Kernel>(ls, signal_variance_);
-}
-
-std::unique_ptr<Kernel>
-Matern52Kernel::clone() const
-{
-    return std::make_unique<Matern52Kernel>(*this);
-}
-
-RbfKernel::RbfKernel(double length_scale, double signal_variance)
-    : length_scale_(length_scale), signal_variance_(signal_variance)
-{
-    SATORI_ASSERT(length_scale_ > 0.0 && signal_variance_ > 0.0);
-}
-
-double
-RbfKernel::covariance(const RealVec& a, const RealVec& b) const
-{
-    const double r2 = squaredDistance(a, b);
-    return signal_variance_ *
-           std::exp(-r2 / (2.0 * length_scale_ * length_scale_));
-}
-
-std::unique_ptr<Kernel>
-RbfKernel::withLengthScale(double ls) const
-{
-    return std::make_unique<RbfKernel>(ls, signal_variance_);
-}
-
-std::unique_ptr<Kernel>
-RbfKernel::clone() const
-{
-    return std::make_unique<RbfKernel>(*this);
 }
 
 } // namespace bo

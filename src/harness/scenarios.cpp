@@ -69,17 +69,22 @@ makePolicy(const std::string& name, const sim::SimulatedServer& server,
         return std::make_unique<core::SatoriController>(platform, jobs,
                                                         satori_options);
     }
+    // The Oracles score configurations with the objective's metrics,
+    // so they stay the ceiling SATORI is reported against.
+    OfflineEvalOptions oracle_options;
+    oracle_options.tmetric = satori_options.objective.throughputMetric();
+    oracle_options.fmetric = satori_options.objective.fairnessMetric();
     if (name == "Balanced-Oracle") {
         return std::make_unique<policies::OraclePolicy>(
-            server, policies::OracleKind::Balanced);
+            server, policies::OracleKind::Balanced, oracle_options);
     }
     if (name == "Throughput-Oracle") {
         return std::make_unique<policies::OraclePolicy>(
-            server, policies::OracleKind::Throughput);
+            server, policies::OracleKind::Throughput, oracle_options);
     }
     if (name == "Fairness-Oracle") {
         return std::make_unique<policies::OraclePolicy>(
-            server, policies::OracleKind::Fairness);
+            server, policies::OracleKind::Fairness, oracle_options);
     }
     SATORI_FATAL("unknown policy name: " + name);
 }

@@ -174,48 +174,6 @@ Cholesky::solveLower(const std::vector<double>& b) const
     return y;
 }
 
-Matrix
-Cholesky::solveLowerMulti(const Matrix& b) const
-{
-    Matrix transposed;
-    solveLowerMultiInto(b, transposed);
-    return transposed.transposed();
-}
-
-void
-Cholesky::solveLowerMultiInto(const Matrix& b, Matrix& out) const
-{
-    const std::size_t n = n_;
-    const std::size_t m = b.rows();
-    SATORI_ASSERT(b.cols() == n);
-    if (out.rows() != n || out.cols() != m)
-        out = Matrix(n, m);
-    // Row i of `out` holds element i of every solution, so the two
-    // inner loops stream contiguously over all m systems at once.
-    // Per system this is exactly solveLower(): seed with b, subtract
-    // l(i,k) * y[k] in ascending k, divide by the pivot once. The
-    // simd kernels are lane-parallel with identical per-element ops,
-    // so the result stays bit-identical to m scalar solves.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* li = row(i);
-        double* row_i = out.rowPtr(i);
-        for (std::size_t c = 0; c < m; ++c)
-            row_i[c] = b(c, i);
-        // k-unrolled by 4 via the fused axpy: per element the same
-        // ascending-k sequence, so results are unchanged bit-for-bit
-        // while row_i round-trips to memory 4x less often.
-        std::size_t k = 0;
-        for (; k + 4 <= i; k += 4)
-            simd::subScaled4(row_i, out.rowPtr(k), li[k],
-                             out.rowPtr(k + 1), li[k + 1],
-                             out.rowPtr(k + 2), li[k + 2],
-                             out.rowPtr(k + 3), li[k + 3], m);
-        for (; k < i; ++k)
-            simd::subScaled(row_i, out.rowPtr(k), li[k], m);
-        simd::divScalar(row_i, li[i], m);
-    }
-}
-
 void
 Cholesky::solveLowerMultiTransposedInto(const Matrix& bt, Matrix& out) const
 {
@@ -224,16 +182,20 @@ Cholesky::solveLowerMultiTransposedInto(const Matrix& bt, Matrix& out) const
     const std::size_t m = bt.cols();
     if (out.rows() != n || out.cols() != m)
         out = Matrix(n, m);
-    // Same substitution as solveLowerMultiInto; the right-hand sides
-    // already sit element-major, so seeding row i is a straight copy
-    // of bt's row i instead of a strided gather.
+    // Row i of `out` holds element i of every solution, so the inner
+    // loops stream contiguously over all m systems at once. Per system
+    // this is exactly solveLower(): seed with b, subtract l(i,k) * y[k]
+    // in ascending k, divide by the pivot once. The simd kernels are
+    // lane-parallel with identical per-element ops, so the result stays
+    // bit-identical to m scalar solves.
     for (std::size_t i = 0; i < n; ++i) {
         const double* li = row(i);
         double* row_i = out.rowPtr(i);
         const double* bt_i = bt.rowPtr(i);
         std::copy(bt_i, bt_i + m, row_i);
-        // Same 4-way k-unroll as solveLowerMultiInto: bit-identical
-        // per element, 4x fewer row_i round-trips.
+        // k-unrolled by 4 via the fused axpy: per element the same
+        // ascending-k sequence, so results are unchanged bit-for-bit
+        // while row_i round-trips to memory 4x less often.
         std::size_t k = 0;
         for (; k + 4 <= i; k += 4)
             simd::subScaled4(row_i, out.rowPtr(k), li[k],

@@ -3,34 +3,53 @@
 #include <algorithm>
 
 #include "satori/common/logging.hpp"
+#include "satori/metrics/metrics.hpp"
 
 namespace satori {
 namespace policies {
 
-ClitePolicy::ClitePolicy(const PlatformSpec& platform,
-                         std::size_t num_jobs, CliteOptions options)
-    : options_(options), space_(platform, num_jobs),
-      candgen_(space_,
-               [] {
-                   bo::CandidateOptions c;
-                   // CLITE explores with uniform candidates only -
-                   // no structured seeds or concentration sets.
-                   c.include_seeds = false;
-                   c.include_concentrated = false;
-                   return c;
-               }()),
-      rng_(options.seed), init_left_(options.init_samples)
+namespace {
+
+/** Static weights of the combined objective. */
+constexpr double kWeightT = 0.5;
+constexpr double kWeightF = 0.5;
+
+/** Random configurations evaluated before BO starts. */
+constexpr std::size_t kInitSamples = 8;
+
+/** Samples retained for the GP. */
+constexpr std::size_t kWindow = 120;
+
+/** Iterations without improvement before holding the best. */
+constexpr std::size_t kStallIntervals = 12;
+
+/** Objective-drop fraction that resumes sampling. */
+constexpr double kReactivateThreshold = 0.08;
+
+/** RNG seed. */
+constexpr std::uint64_t kSeed = 19;
+
+/** The static objective: 0.5 sum-IPS throughput + 0.5 Jain fairness. */
+double
+objective(const sim::IntervalObservation& obs)
 {
+    const double t = normalizedThroughput(ThroughputMetric::SumIps,
+                                          obs.ips, obs.isolation_ips);
+    const double f = normalizedFairness(
+        FairnessMetric::JainIndex, speedups(obs.ips, obs.isolation_ips));
+    return kWeightT * t + kWeightF * f;
 }
 
-double
-ClitePolicy::objective(const sim::IntervalObservation& obs) const
+} // namespace
+
+ClitePolicy::ClitePolicy(const PlatformSpec& platform,
+                         std::size_t num_jobs)
+    : space_(platform, num_jobs),
+      // CLITE explores with uniform candidates only - no structured
+      // seeds or concentration sets.
+      candgen_(space_, bo::CandidateOptions{.structured = false}),
+      rng_(kSeed), init_left_(kInitSamples)
 {
-    const double t = normalizedThroughput(options_.tmetric, obs.ips,
-                                          obs.isolation_ips);
-    const double f = normalizedFairness(
-        options_.fmetric, speedups(obs.ips, obs.isolation_ips));
-    return options_.w_t * t + options_.w_f * f;
 }
 
 Configuration
@@ -42,7 +61,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
     configs_.push_back(obs.config);
     xs_.push_back(obs.config.normalizedVector());
     ys_.push_back(y);
-    if (xs_.size() > options_.window) {
+    if (xs_.size() > kWindow) {
         configs_.erase(configs_.begin());
         xs_.erase(xs_.begin());
         ys_.erase(ys_.begin());
@@ -54,7 +73,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
             if (obs.config == hold_config_)
                 hold_reference_ = y;
         } else if (y < hold_reference_ *
-                           (1.0 - options_.reactivate_threshold)) {
+                           (1.0 - kReactivateThreshold)) {
             if (++strikes_ >= 2) {
                 holding_ = false;
                 strikes_ = 0;
@@ -85,7 +104,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
 
     engine_.setSamples(xs_, ys_);
 
-    if (stall_ >= options_.stall_intervals) {
+    if (stall_ >= kStallIntervals) {
         // Hold the best *observed* configuration (CLITE's decision
         // once sampling stops).
         std::size_t best_i = 0;
@@ -116,14 +135,14 @@ ClitePolicy::reset()
     configs_.clear();
     xs_.clear();
     ys_.clear();
-    init_left_ = options_.init_samples;
+    init_left_ = kInitSamples;
     best_seen_ = -1.0;
     stall_ = 0;
     holding_ = false;
     hold_reference_ = -1.0;
     strikes_ = 0;
     engine_ = bo::BoEngine();
-    rng_ = Rng(options_.seed);
+    rng_ = Rng(kSeed);
 }
 
 } // namespace policies

@@ -7,9 +7,22 @@
 namespace satori {
 namespace policies {
 
+namespace {
+
+/** Relative slowdown margin that triggers TAKE/GIVE. */
+constexpr double kHysteresis = 0.03;
+
+/**
+ * Controller intervals per FSM epoch: the published CoPart evaluates
+ * its FSMs about once per second.
+ */
+constexpr int kPeriodIntervals = 10;
+
+} // namespace
+
 CoPartPolicy::CoPartPolicy(const PlatformSpec& platform,
-                           std::size_t num_jobs, Options options)
-    : platform_(platform), num_jobs_(num_jobs), options_(options),
+                           std::size_t num_jobs)
+    : platform_(platform), num_jobs_(num_jobs),
       current_(Configuration::equalPartition(platform, num_jobs))
 {
     const int llc = platform.indexOf(ResourceKind::LlcWays);
@@ -34,8 +47,8 @@ CoPartPolicy::stepFsm(ResourceIndex r, const std::vector<double>& speedup)
     bool has_take = false, has_give = false;
     for (JobIndex j = 0; j < num_jobs_; ++j) {
         const State s =
-            speedup[j] < avg * (1.0 - options_.hysteresis) ? State::Take
-            : speedup[j] > avg * (1.0 + options_.hysteresis)
+            speedup[j] < avg * (1.0 - kHysteresis) ? State::Take
+            : speedup[j] > avg * (1.0 + kHysteresis)
                 ? State::Give
                 : State::Hold;
         if (s == State::Take && speedup[j] < worst) {
@@ -67,7 +80,7 @@ CoPartPolicy::decide(const sim::IntervalObservation& obs)
         acc_ips_[j] += obs.ips[j];
         acc_iso_[j] += obs.isolation_ips[j];
     }
-    if (++acc_n_ < options_.period_intervals)
+    if (++acc_n_ < kPeriodIntervals)
         return current_;
     std::vector<double> avg_ips(obs.ips.size());
     std::vector<double> avg_iso(obs.ips.size());

@@ -8,9 +8,25 @@
 namespace satori {
 namespace policies {
 
-DCatPolicy::DCatPolicy(const PlatformSpec& platform, std::size_t num_jobs,
-                       Options options)
-    : platform_(platform), num_jobs_(num_jobs), options_(options),
+namespace {
+
+/** Minimum relative throughput gain to accept a transfer. */
+constexpr double kAcceptEpsilon = 0.002;
+
+/** Intervals a rejected donor/receiver pair stays blocked. */
+constexpr int kBackoffIntervals = 20;
+
+/**
+ * Controller intervals per dCAT epoch: the published system
+ * re-evaluates allocations about once per second, i.e. every 10 of
+ * SATORI's 100 ms intervals.
+ */
+constexpr int kPeriodIntervals = 10;
+
+} // namespace
+
+DCatPolicy::DCatPolicy(const PlatformSpec& platform, std::size_t num_jobs)
+    : platform_(platform), num_jobs_(num_jobs),
       llc_index_(platform.indexOf(ResourceKind::LlcWays)),
       current_(Configuration::equalPartition(platform, num_jobs))
 {
@@ -37,7 +53,7 @@ DCatPolicy::decide(const sim::IntervalObservation& obs)
         acc_ips_[j] += obs.ips[j];
         acc_iso_[j] += obs.isolation_ips[j];
     }
-    if (++acc_n_ < options_.period_intervals)
+    if (++acc_n_ < kPeriodIntervals)
         return current_;
     std::vector<double> avg_ips(obs.ips.size());
     std::vector<double> avg_iso(obs.ips.size());
@@ -57,11 +73,11 @@ DCatPolicy::decide(const sim::IntervalObservation& obs)
         trial_pending_ = false;
         const double gain =
             (observed - pre_trial_ips_) / std::max(pre_trial_ips_, 1e-9);
-        if (gain < options_.accept_epsilon) {
+        if (gain < kAcceptEpsilon) {
             // Transfer hurt (or didn't help): revert and back off.
             current_ = pre_trial_config_;
             blocked_until_[{trial_from_, trial_to_}] =
-                iteration_ + options_.backoff_intervals;
+                iteration_ + kBackoffIntervals;
             return current_;
         }
         // Keep the transfer; fall through to try extending the trend.

@@ -2,25 +2,33 @@
 
 #include "satori/common/logging.hpp"
 #include "satori/common/math.hpp"
+#include "satori/metrics/metrics.hpp"
 
 namespace satori {
 namespace policies {
 
+namespace {
+
+/** Minimum objective gain to accept a move. */
+constexpr double kAcceptEpsilon = 0.001;
+
+/** Weights on throughput and fairness in the modified objective. */
+constexpr double kWeightT = 0.5;
+constexpr double kWeightF = 0.5;
+
+/**
+ * Controller intervals per adjustment step: PARTIES monitors a
+ * ~500 ms window before judging each one-resource adjustment.
+ */
+constexpr int kPeriodIntervals = 5;
+
+} // namespace
+
 PartiesPolicy::PartiesPolicy(const PlatformSpec& platform,
-                             std::size_t num_jobs, Options options)
-    : platform_(platform), num_jobs_(num_jobs), options_(options),
+                             std::size_t num_jobs)
+    : platform_(platform), num_jobs_(num_jobs),
       current_(Configuration::equalPartition(platform, num_jobs))
 {
-}
-
-double
-PartiesPolicy::objective(const sim::IntervalObservation& obs) const
-{
-    const double t = normalizedThroughput(options_.tmetric, obs.ips,
-                                          obs.isolation_ips);
-    const double f = normalizedFairness(
-        options_.fmetric, speedups(obs.ips, obs.isolation_ips));
-    return options_.w_t * t + options_.w_f * f;
 }
 
 Configuration
@@ -36,7 +44,7 @@ PartiesPolicy::decide(const sim::IntervalObservation& obs)
         acc_ips_[j] += obs.ips[j];
         acc_iso_[j] += obs.isolation_ips[j];
     }
-    if (++acc_n_ < options_.period_intervals)
+    if (++acc_n_ < kPeriodIntervals)
         return current_;
     std::vector<double> avg_ips(obs.ips.size());
     std::vector<double> avg_iso(obs.ips.size());
@@ -49,14 +57,14 @@ PartiesPolicy::decide(const sim::IntervalObservation& obs)
     acc_n_ = 0;
 
     const double observed =
-        options_.w_t * normalizedThroughput(options_.tmetric, avg_ips,
-                                            avg_iso) +
-        options_.w_f * normalizedFairness(options_.fmetric,
-                                          speedups(avg_ips, avg_iso));
+        kWeightT * normalizedThroughput(ThroughputMetric::SumIps,
+                                        avg_ips, avg_iso) +
+        kWeightF * normalizedFairness(FairnessMetric::JainIndex,
+                                      speedups(avg_ips, avg_iso));
 
     if (trial_pending_) {
         trial_pending_ = false;
-        if (observed < pre_trial_objective_ + options_.accept_epsilon) {
+        if (observed < pre_trial_objective_ + kAcceptEpsilon) {
             // Move did not help: undo it and count a failure in this
             // dimension; after enough failures rotate to the next
             // resource (the gradient-descent "one dimension at a

@@ -3,9 +3,16 @@
 namespace satori {
 namespace policies {
 
+namespace {
+
+/** RNG seed of the uniform sample stream. */
+constexpr std::uint64_t kSeed = 13;
+
+} // namespace
+
 RandomPolicy::RandomPolicy(const PlatformSpec& platform,
-                           std::size_t num_jobs, std::uint64_t seed)
-    : space_(platform, num_jobs), seed_(seed), rng_(seed)
+                           std::size_t num_jobs)
+    : space_(platform, num_jobs), rng_(kSeed)
 {
 }
 
@@ -18,7 +25,7 @@ RandomPolicy::decide(const sim::IntervalObservation&)
 void
 RandomPolicy::reset()
 {
-    rng_ = Rng(seed_);
+    rng_ = Rng(kSeed);
 }
 
 } // namespace policies

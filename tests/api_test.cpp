@@ -3,8 +3,7 @@
  * Cross-module API tests: the workflows a downstream user composes
  * from the public headers - custom platforms (including the
  * power-cap extension), loader-defined workloads driving the
- * simulator, acquisition-function variants inside the controller,
- * and trace-backed experiment pipelines.
+ * simulator, and trace-backed experiment pipelines.
  */
 
 #include <cstdio>
@@ -92,40 +91,6 @@ TEST(ApiTest, LoaderWorkloadsDriveTheSimulator)
         harness::ExperimentRunner(opt).run(server, satori, mix.label);
     EXPECT_GT(result.mean_throughput, 0.0);
     EXPECT_GT(result.mean_fairness, 0.0);
-}
-
-TEST(ApiTest, AcquisitionVariantsRunInsideTheController)
-{
-    PlatformSpec p;
-    p.addResource(ResourceKind::Cores, 6);
-    p.addResource(ResourceKind::LlcWays, 6);
-    const auto mix = workloads::mixOf({"canneal", "swaptions"});
-    for (const auto kind :
-         {bo::AcquisitionKind::ExpectedImprovement,
-          bo::AcquisitionKind::Ucb,
-          bo::AcquisitionKind::ProbabilityOfImprovement}) {
-        auto server = harness::makeServer(p, mix, 23);
-        core::SatoriOptions opt;
-        opt.engine.acquisition = kind;
-        core::SatoriController satori(p, 2, opt);
-        sim::PerfMonitor monitor(server);
-        for (int i = 0; i < 60; ++i) {
-            const auto next = satori.decide(monitor.observe(0.1));
-            ASSERT_TRUE(next.isValidFor(p, 2));
-            server.setConfiguration(next);
-        }
-    }
-}
-
-TEST(ApiTest, RbfKernelWorksAsAlternativeProxy)
-{
-    bo::EngineOptions eng;
-    // A controller can be built around an RBF GP by pre-seeding the
-    // engine; here we check the GP-level swap directly.
-    bo::GaussianProcess gp(std::make_unique<bo::RbfKernel>(0.4), 1e-4);
-    gp.fit({{0.0}, {0.5}, {1.0}}, {0.0, 1.0, 0.0});
-    EXPECT_GT(gp.predict({0.5}).mean, gp.predict({0.0}).mean);
-    (void)eng;
 }
 
 TEST(ApiTest, TraceBackedComparisonPipeline)

@@ -29,10 +29,8 @@ namespace {
 TEST(KernelTest, SelfCovarianceIsSignalVariance)
 {
     const Matern52Kernel m(0.5, 2.0);
-    const RbfKernel r(0.5, 3.0);
     const RealVec x{0.1, 0.2};
     EXPECT_NEAR(m.covariance(x, x), 2.0, 1e-12);
-    EXPECT_NEAR(r.covariance(x, x), 3.0, 1e-12);
 }
 
 TEST(KernelTest, SymmetricAndDecayingWithDistance)
@@ -51,17 +49,9 @@ TEST(KernelTest, LengthScaleControlsReach)
     EXPECT_LT(narrow.covariance(a, b), wide.covariance(a, b));
 }
 
-TEST(KernelTest, WithLengthScaleProducesSameFamily)
-{
-    const Matern52Kernel k(0.3, 1.5);
-    auto k2 = k.withLengthScale(0.6);
-    EXPECT_DOUBLE_EQ(k2->lengthScale(), 0.6);
-    EXPECT_DOUBLE_EQ(k2->variance(), 1.5);
-}
-
 TEST(GpTest, InterpolatesTrainingPointsWithLowNoise)
 {
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.3), 1e-8);
+    GaussianProcess gp(Matern52Kernel(0.3), 1e-8);
     const std::vector<RealVec> xs{{0.0}, {0.5}, {1.0}};
     const std::vector<double> ys{1.0, 3.0, 2.0};
     gp.fit(xs, ys);
@@ -74,7 +64,7 @@ TEST(GpTest, InterpolatesTrainingPointsWithLowNoise)
 
 TEST(GpTest, UncertaintyGrowsAwayFromData)
 {
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.2), 1e-6);
+    GaussianProcess gp(Matern52Kernel(0.2), 1e-6);
     gp.fit({{0.0}, {0.1}}, {1.0, 1.1});
     const auto near = gp.predict({0.05});
     const auto far = gp.predict({0.9});
@@ -83,7 +73,7 @@ TEST(GpTest, UncertaintyGrowsAwayFromData)
 
 TEST(GpTest, StandardizationHandlesLargeTargets)
 {
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.3), 1e-6);
+    GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
     gp.fit({{0.0}, {1.0}}, {1e9, 2e9});
     const auto p = gp.predict({0.0});
     EXPECT_NEAR(p.mean, 1e9, 1e7);
@@ -91,14 +81,14 @@ TEST(GpTest, StandardizationHandlesLargeTargets)
 
 TEST(GpTest, ConstantTargetsAreSafe)
 {
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.3), 1e-6);
+    GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
     gp.fit({{0.0}, {0.5}, {1.0}}, {4.0, 4.0, 4.0});
     EXPECT_NEAR(gp.predict({0.3}).mean, 4.0, 1e-6);
 }
 
 TEST(GpTest, DuplicateInputsDoNotBreakFactorization)
 {
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.3), 1e-6);
+    GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
     // Same x with different noisy ys: jitter path must engage.
     gp.fit({{0.5}, {0.5}, {0.5}}, {1.0, 1.2, 0.8});
     const auto p = gp.predict({0.5});
@@ -107,11 +97,11 @@ TEST(GpTest, DuplicateInputsDoNotBreakFactorization)
 
 TEST(GpTest, CopySemanticsPreserveFit)
 {
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.3), 1e-6);
+    GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
     gp.fit({{0.0}, {1.0}}, {1.0, 2.0});
     GaussianProcess copy(gp);
     EXPECT_NEAR(copy.predict({0.0}).mean, gp.predict({0.0}).mean, 1e-9);
-    GaussianProcess assigned(std::make_unique<RbfKernel>(0.3));
+    GaussianProcess assigned(Matern52Kernel(0.9));
     assigned = gp;
     EXPECT_NEAR(assigned.predict({1.0}).mean, 2.0, 1e-3);
 }
@@ -127,10 +117,11 @@ TEST(GpTest, LengthScaleGridImprovesMarginalLikelihood)
         xs.push_back({x});
         ys.push_back(std::sin(3.0 * x));
     }
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.01), 1e-4);
+    GaussianProcess gp(Matern52Kernel(0.01), 1e-4);
     gp.fit(xs, ys);
     const double lml_short = gp.logMarginalLikelihood();
-    gp.fitWithLengthScaleGrid(xs, ys, {0.01, 0.1, 0.3, 1.0});
+    const std::vector<double> grid{0.01, 0.1, 0.3, 1.0};
+    gp.fitWithLengthScaleGrid(xs, ys, grid);
     EXPECT_GE(gp.logMarginalLikelihood(), lml_short);
     EXPECT_GT(gp.kernel().lengthScale(), 0.01);
 }
@@ -156,7 +147,7 @@ TEST(GpIncrementalTest, AddObservationMatchesFullRefitBitwise)
     std::vector<RealVec> xs;
     std::vector<double> ys;
 
-    GaussianProcess incremental(std::make_unique<Matern52Kernel>(0.5),
+    GaussianProcess incremental(Matern52Kernel(0.5),
                                 0.05);
     std::vector<RealVec> probes;
     for (int p = 0; p < 8; ++p)
@@ -181,7 +172,7 @@ TEST(GpIncrementalTest, AddObservationMatchesFullRefitBitwise)
             incremental.addObservation(x, y);
         }
 
-        GaussianProcess fresh(std::make_unique<Matern52Kernel>(0.5),
+        GaussianProcess fresh(Matern52Kernel(0.5),
                               0.05);
         fresh.fit(xs, ys);
         ASSERT_EQ(incremental.numSamples(), fresh.numSamples());
@@ -204,7 +195,7 @@ TEST(GpIncrementalTest, NearSingularDuplicatesStillMatchFullRefit)
     // would run, or refuses and falls back to the jitter-escalated
     // refactorization. Both must equal the from-scratch fit bitwise.
     Rng rng(99);
-    GaussianProcess incremental(std::make_unique<Matern52Kernel>(0.5),
+    GaussianProcess incremental(Matern52Kernel(0.5),
                                 1e-12);
     std::vector<RealVec> xs{randomPoint(rng, 2)};
     std::vector<double> ys{rng.gaussian()};
@@ -218,7 +209,7 @@ TEST(GpIncrementalTest, NearSingularDuplicatesStillMatchFullRefit)
         ys.push_back(rng.gaussian());
         incremental.addObservation(x, ys.back());
 
-        GaussianProcess fresh(std::make_unique<Matern52Kernel>(0.5),
+        GaussianProcess fresh(Matern52Kernel(0.5),
                               1e-12);
         fresh.fit(xs, ys);
         const RealVec probe = randomPoint(rng, 2);
@@ -243,7 +234,7 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
         xs.push_back(randomPoint(rng, 3));
         ys.push_back(rng.gaussian());
     }
-    GaussianProcess incremental(std::make_unique<Matern52Kernel>(0.5),
+    GaussianProcess incremental(Matern52Kernel(0.5),
                                 0.05);
     incremental.fitIncremental(xs, ys);
 
@@ -252,7 +243,7 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
             y = rng.gaussian(0.0, 1.0 + round);
         incremental.fitIncremental(xs, ys); // same inputs, new targets
 
-        GaussianProcess fresh(std::make_unique<Matern52Kernel>(0.5),
+        GaussianProcess fresh(Matern52Kernel(0.5),
                               0.05);
         fresh.fit(xs, ys);
         for (int p = 0; p < 6; ++p) {
@@ -268,7 +259,7 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
     xs.push_back(randomPoint(rng, 3));
     ys.push_back(rng.gaussian());
     incremental.fitIncremental(xs, ys);
-    GaussianProcess fresh(std::make_unique<Matern52Kernel>(0.5), 0.05);
+    GaussianProcess fresh(Matern52Kernel(0.5), 0.05);
     fresh.fit(xs, ys);
     EXPECT_EQ(incremental.logMarginalLikelihood(),
               fresh.logMarginalLikelihood());
@@ -278,7 +269,7 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
     std::vector<RealVec> trimmed(xs.begin() + 5, xs.end());
     std::vector<double> trimmed_y(ys.begin() + 5, ys.end());
     incremental.fitIncremental(trimmed, trimmed_y);
-    GaussianProcess fresh2(std::make_unique<Matern52Kernel>(0.5), 0.05);
+    GaussianProcess fresh2(Matern52Kernel(0.5), 0.05);
     fresh2.fit(trimmed, trimmed_y);
     const RealVec probe = randomPoint(rng, 3);
     EXPECT_EQ(incremental.predict(probe).mean,
@@ -294,7 +285,7 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
         xs.push_back(randomPoint(rng, 5));
         ys.push_back(rng.gaussian());
     }
-    GaussianProcess gp(std::make_unique<Matern52Kernel>(0.5), 0.05);
+    GaussianProcess gp(Matern52Kernel(0.5), 0.05);
     gp.fit(xs, ys);
 
     // 700 queries span three 256-candidate prediction blocks, the
@@ -342,12 +333,13 @@ TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
         xs.push_back({x});
         ys.push_back(std::sin(3.0 * x) + 0.01 * rng.gaussian());
     }
-    GaussianProcess grid_gp(std::make_unique<Matern52Kernel>(0.05),
+    GaussianProcess grid_gp(Matern52Kernel(0.05),
                             1e-4);
-    grid_gp.fitWithLengthScaleGrid(xs, ys, {0.05, 0.2, 0.5, 1.0});
+    const std::vector<double> grid{0.05, 0.2, 0.5, 1.0};
+    grid_gp.fitWithLengthScaleGrid(xs, ys, grid);
     const double winner = grid_gp.kernel().lengthScale();
 
-    GaussianProcess direct(std::make_unique<Matern52Kernel>(winner),
+    GaussianProcess direct(Matern52Kernel(winner),
                            1e-4);
     direct.fit(xs, ys);
     EXPECT_EQ(grid_gp.logMarginalLikelihood(),
@@ -367,7 +359,7 @@ TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
 
     // The grid GP remains incrementally updatable afterwards.
     grid_gp.addObservation({1.1}, 0.5);
-    GaussianProcess extended(std::make_unique<Matern52Kernel>(winner),
+    GaussianProcess extended(Matern52Kernel(winner),
                              1e-4);
     auto xs2 = xs;
     auto ys2 = ys;
@@ -442,35 +434,6 @@ TEST(AcquisitionTest, EiPrefersHigherMeanAtEqualUncertainty)
               expectedImprovement(lo, 0.5));
 }
 
-TEST(AcquisitionTest, ProbabilityOfImprovementBounds)
-{
-    GpPrediction p;
-    p.mean = 1.0;
-    p.variance = 0.04;
-    // Far above the incumbent: PI near 1; far below: near 0.
-    EXPECT_GT(probabilityOfImprovement(p, 0.0), 0.99);
-    EXPECT_LT(probabilityOfImprovement(p, 2.0), 0.01);
-    // Deterministic prediction collapses to an indicator.
-    p.variance = 0.0;
-    EXPECT_DOUBLE_EQ(probabilityOfImprovement(p, 0.5), 1.0);
-    EXPECT_DOUBLE_EQ(probabilityOfImprovement(p, 1.5), 0.0);
-    p.variance = 1.0;
-    EXPECT_DOUBLE_EQ(
-        acquisition(AcquisitionKind::ProbabilityOfImprovement, p, 1.0,
-                    0.0, 2.0),
-        0.5);
-}
-
-TEST(AcquisitionTest, UcbCombinesMeanAndSpread)
-{
-    GpPrediction p;
-    p.mean = 1.0;
-    p.variance = 4.0;
-    EXPECT_DOUBLE_EQ(upperConfidenceBound(p, 2.0), 5.0);
-    EXPECT_DOUBLE_EQ(
-        acquisition(AcquisitionKind::Ucb, p, 0.0, 0.01, 2.0), 5.0);
-}
-
 TEST(EngineTest, SuggestsNearMaximumOfSimpleFunction)
 {
     // f(x) = -(x - 0.7)^2: after a handful of samples the engine
@@ -523,9 +486,7 @@ TEST(CandidatesTest, GenerateIsDeduplicatedAndValid)
 {
     const PlatformSpec p = PlatformSpec::paperTestbed();
     ConfigurationSpace space(p, 5);
-    CandidateOptions opt;
-    opt.num_random = 64;
-    CandidateGenerator gen(space, opt);
+    CandidateGenerator gen(space);
     Rng rng(3);
     const Configuration incumbent = Configuration::equalPartition(p, 5);
     const auto cands = gen.generate(incumbent, rng);
@@ -545,12 +506,10 @@ TEST(CandidatesTest, GenerateReplaysExactlyAcrossInstances)
     // generators with identically seeded Rngs produce identical lists.
     const PlatformSpec p = PlatformSpec::paperTestbed();
     ConfigurationSpace space(p, 5);
-    CandidateOptions opt;
-    opt.num_random = 64;
     const Configuration incumbent = Configuration::equalPartition(p, 5);
 
-    CandidateGenerator gen_a(space, opt);
-    CandidateGenerator gen_b(space, opt);
+    CandidateGenerator gen_a(space);
+    CandidateGenerator gen_b(space);
     Rng rng_a(17);
     Rng rng_b(17);
     const auto cands_a = gen_a.generate(incumbent, rng_a);
@@ -594,20 +553,18 @@ makeDataset(std::size_t n, std::size_t dims, std::uint64_t seed,
 
 /**
  * The engine's decision recomputed from its public surface:
- * acquisition(predict(x)) per candidate, maximized with the first
- * candidate winning ties.
+ * expectedImprovement(predict(x)) per candidate, maximized with the
+ * first candidate winning ties.
  */
 std::size_t
 plainArgmax(const BoEngine& engine, const std::vector<RealVec>& candidates)
 {
-    const EngineOptions& o = engine.options();
     const double best = engine.bestObserved();
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_idx = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const double score = acquisition(o.acquisition,
-                                         engine.predict(candidates[i]),
-                                         best, o.xi, o.ucb_beta);
+        const double score =
+            expectedImprovement(engine.predict(candidates[i]), best);
         if (score > best_score) {
             best_score = score;
             best_idx = i;
@@ -639,39 +596,31 @@ TEST(EngineTest, ProductionShapeSuggestionIsPlainFirstWinsArgmax)
     ASSERT_EQ(xs.front().size(), 15u);
     ASSERT_GT(candidates.size(), 300u);
 
-    for (const AcquisitionKind kind :
-         {AcquisitionKind::ExpectedImprovement, AcquisitionKind::Ucb,
-          AcquisitionKind::ProbabilityOfImprovement}) {
-        EngineOptions options;
-        options.acquisition = kind;
-        BoEngine engine(options);
-        engine.setSamples(xs, ys);
-        const std::size_t pick = engine.suggestIndex(candidates);
-        EXPECT_EQ(pick, plainArgmax(engine, candidates));
+    BoEngine engine;
+    engine.setSamples(xs, ys);
+    const std::size_t pick = engine.suggestIndex(candidates);
+    EXPECT_EQ(pick, plainArgmax(engine, candidates));
 
-        // An exact duplicate of the winner appended at the end ties
-        // with it; the earlier index must win.
-        std::vector<RealVec> with_dup = candidates;
-        with_dup.push_back(candidates[pick]);
-        EXPECT_EQ(engine.suggestIndex(with_dup), pick);
-    }
+    // An exact duplicate of the winner appended at the end ties with
+    // it; the earlier index must win.
+    std::vector<RealVec> with_dup = candidates;
+    with_dup.push_back(candidates[pick]);
+    EXPECT_EQ(engine.suggestIndex(with_dup), pick);
 }
 
 TEST(EngineTest, StateRoundTripPreservesSuggestIndex)
 {
     std::vector<RealVec> xs;
     std::vector<double> ys;
-    makeDataset(41, 2, 96, xs, ys);
+    makeDataset(41, 1, 96, xs, ys);
     std::vector<RealVec> candidates;
     std::vector<double> cys;
-    makeDataset(60, 2, 97, candidates, cys);
+    makeDataset(60, 1, 97, candidates, cys);
 
     // 31 fits: the grid refit at fit 20 moves the length scale off
-    // its initial 0.5 (the grid excludes it) and leaves the next
-    // refit 9 fits away, so the restore must carry both.
-    EngineOptions options;
-    options.length_scale_grid = {0.2, 0.35};
-    BoEngine engine(options);
+    // its initial 0.5 and leaves the next refit 9 fits away, so the
+    // restore must carry both.
+    BoEngine engine;
     engine.setSamples({xs.begin(), xs.begin() + 10},
                       {ys.begin(), ys.begin() + 10});
     for (std::size_t i = 10; i < 40; ++i)
@@ -679,8 +628,13 @@ TEST(EngineTest, StateRoundTripPreservesSuggestIndex)
 
     persist::StateWriter w;
     engine.saveState(w);
+    // The state leads with the fitted length scale. Had the grid kept
+    // 0.5, a restore that ignored it would go unnoticed.
+    persist::StateReader peek(w.bytes(), "engine-length-scale");
+    ASSERT_NE(peek.getDouble(), 0.5);
+
     persist::StateReader r(w.bytes(), "engine-roundtrip");
-    BoEngine restored(options);
+    BoEngine restored;
     restored.restoreState(r);
     EXPECT_EQ(restored.numSamples(), engine.numSamples());
     EXPECT_DOUBLE_EQ(restored.bestObserved(), engine.bestObserved());

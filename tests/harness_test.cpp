@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -13,10 +14,11 @@
 #include "satori/common/logging.hpp"
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/parallel.hpp"
-#include "satori/harness/repeat.hpp"
 #include "satori/harness/report.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/policies/equal_policy.hpp"
+#include "satori/sim/monitor.hpp"
+#include "satori/sim/offline_eval.hpp"
 #include "satori/workloads/mixes.hpp"
 
 namespace satori {
@@ -123,6 +125,31 @@ TEST(PolicyFactoryTest, AllNamesConstruct)
     EXPECT_THROW(makePolicy("Quantum", server), FatalError);
 }
 
+TEST(PolicyFactoryTest, OraclesMaximizeTheObjectiveMetrics)
+{
+    // Every %-of-oracle score divides by the Balanced Oracle, so under
+    // a non-default objective it must maximize that objective's
+    // metrics rather than the default sum-IPS + Jain.
+    auto server = makeServer(smallPlatform(), smallMix());
+    sim::PerfMonitor monitor(server);
+    const sim::IntervalObservation obs = monitor.observe();
+    const std::vector<std::size_t> sig = server.phaseSignature();
+
+    OfflineEvalOptions metrics;
+    metrics.tmetric = ThroughputMetric::GeomeanSpeedup;
+    metrics.fmetric = FairnessMetric::OneMinusCov;
+    const Configuration expected =
+        OfflineEvaluator(server, metrics).bestFor(sig, 0.5, 0.5).config;
+    ASSERT_FALSE(expected ==
+                 OfflineEvaluator(server).bestFor(sig, 0.5, 0.5).config);
+
+    core::SatoriOptions sopt;
+    sopt.objective = core::ObjectiveSpec(ThroughputMetric::GeomeanSpeedup,
+                                         FairnessMetric::OneMinusCov);
+    auto oracle = makePolicy("Balanced-Oracle", server, sopt);
+    EXPECT_TRUE(oracle->decide(obs) == expected);
+}
+
 TEST(PolicyFactoryTest, ComparisonSetMatchesPaperFigure)
 {
     const auto names = comparisonPolicyNames();
@@ -174,45 +201,6 @@ TEST(ComparePoliciesTest, AggregateHelpers)
                 1e-12);
 }
 
-TEST(RepeatPolicyTest, AggregatesAcrossSeeds)
-{
-    ExperimentOptions opt;
-    opt.duration = 5.0;
-    const auto rep = repeatPolicy(smallPlatform(), smallMix(), "Equal",
-                                  opt, 4, 100);
-    EXPECT_EQ(rep.policy, "Equal");
-    EXPECT_EQ(rep.runs, 4u);
-    EXPECT_GT(rep.throughput.mean, 0.0);
-    EXPECT_GT(rep.objective.mean, 0.0);
-    // Several noisy seeds give a non-degenerate confidence interval.
-    EXPECT_GT(rep.throughput.ci95, 0.0);
-    EXPECT_NE(rep.objective.toString().find("+/-"), std::string::npos);
-}
-
-TEST(RepeatPolicyTest, ClearlyBeatsIsConservative)
-{
-    RepeatedResult a, b;
-    a.objective.mean = 0.8;
-    a.objective.ci95 = 0.02;
-    b.objective.mean = 0.7;
-    b.objective.ci95 = 0.02;
-    EXPECT_TRUE(a.clearlyBeats(b));
-    EXPECT_FALSE(b.clearlyBeats(a));
-    // Overlapping intervals: no clear winner either way.
-    b.objective.mean = 0.79;
-    EXPECT_FALSE(a.clearlyBeats(b));
-    EXPECT_FALSE(b.clearlyBeats(a));
-}
-
-TEST(RepeatPolicyTest, SingleRunHasNoInterval)
-{
-    ExperimentOptions opt;
-    opt.duration = 3.0;
-    const auto rep = repeatPolicy(smallPlatform(), smallMix(), "Equal",
-                                  opt, 1, 7);
-    EXPECT_DOUBLE_EQ(rep.throughput.ci95, 0.0);
-}
-
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce)
 {
     for (const std::size_t workers : {1u, 2u, 4u}) {
@@ -258,52 +246,44 @@ TEST(ParallelForTest, SerialAndPooledAgree)
     EXPECT_EQ(serial, pooled);
 }
 
-TEST(RepeatPolicyTest, ParallelStatisticsBitIdenticalToSerial)
+TEST(ParallelForTest, ParallelComparisonsBitIdenticalToSerial)
 {
-    // The determinism contract for the parallel harness: per-run seeds
-    // derive from indices and folding is index-ordered, so every
-    // thread count produces byte-for-byte the same aggregate.
+    // The determinism contract the benches rely on: parallelFor over
+    // comparePolicies, one result slot per mix with its seed derived
+    // from the index, gives bitwise the same scores at every thread
+    // count - SATORI's GP and controller included.
     ExperimentOptions opt;
     opt.duration = 3.0;
-    const auto serial = repeatPolicy(smallPlatform(), smallMix(),
-                                     "Equal", opt, 6, 11, {}, 1);
-    for (const std::size_t threads : {2u, 4u, 6u}) {
-        const auto parallel = repeatPolicy(smallPlatform(), smallMix(),
-                                           "Equal", opt, 6, 11, {},
-                                           threads);
-        EXPECT_EQ(parallel.runs, serial.runs);
-        EXPECT_EQ(parallel.throughput.mean, serial.throughput.mean);
-        EXPECT_EQ(parallel.throughput.ci95, serial.throughput.ci95);
-        EXPECT_EQ(parallel.fairness.mean, serial.fairness.mean);
-        EXPECT_EQ(parallel.fairness.ci95, serial.fairness.ci95);
-        EXPECT_EQ(parallel.objective.mean, serial.objective.mean);
-        EXPECT_EQ(parallel.objective.ci95, serial.objective.ci95);
+    const std::vector<workloads::JobMix> mixes = {
+        smallMix(),
+        workloads::mixOf({"blackscholes", "canneal", "fluidanimate"}),
+        workloads::mixOf({"freqmine", "streamcluster", "swaptions"})};
+    auto compare = [&](std::size_t threads) {
+        std::vector<MixComparison> out(mixes.size());
+        parallelFor(mixes.size(), threads, [&](std::size_t i) {
+            out[i] = comparePolicies(smallPlatform(), mixes[i],
+                                     {"SATORI"}, opt, 5 + i);
+        });
+        return out;
+    };
+    const auto serial = compare(1);
+    const auto parallel = compare(4);
+    for (std::size_t i = 0; i < mixes.size(); ++i) {
+        const PolicyScore& s = serial[i].score("SATORI");
+        const PolicyScore& p = parallel[i].score("SATORI");
+        EXPECT_EQ(std::memcmp(&s.throughput_pct, &p.throughput_pct,
+                              sizeof(double)),
+                  0)
+            << i;
+        EXPECT_EQ(std::memcmp(&s.fairness_pct, &p.fairness_pct,
+                              sizeof(double)),
+                  0)
+            << i;
+        EXPECT_EQ(std::memcmp(&s.result.mean_objective,
+                              &p.result.mean_objective, sizeof(double)),
+                  0)
+            << i;
     }
-
-    // SATORI policies (GP + controller inside each worker) hold the
-    // same guarantee.
-    const auto s1 = repeatPolicy(smallPlatform(), smallMix(), "SATORI",
-                                 opt, 3, 5, {}, 1);
-    const auto s4 = repeatPolicy(smallPlatform(), smallMix(), "SATORI",
-                                 opt, 3, 5, {}, 4);
-    EXPECT_EQ(s1.objective.mean, s4.objective.mean);
-    EXPECT_EQ(s1.objective.ci95, s4.objective.ci95);
-}
-
-TEST(RepeatPolicyTest, SharedSinksForceSerialExecution)
-{
-    // A trace sink is single-run state; the threaded overload must
-    // not share it across workers (it serializes instead, and the
-    // trace stays well-formed).
-    ExperimentOptions opt;
-    opt.duration = 2.0;
-    int intervals = 0;
-    opt.on_interval = [&](const sim::IntervalObservation&, double,
-                          double) { ++intervals; };
-    const auto rep = repeatPolicy(smallPlatform(), smallMix(), "Equal",
-                                  opt, 3, 21, {}, 4);
-    EXPECT_EQ(rep.runs, 3u);
-    EXPECT_GT(intervals, 0);
 }
 
 } // namespace
