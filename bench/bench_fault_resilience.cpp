@@ -37,12 +37,15 @@ struct RunScore
 
 RunScore
 runOne(const PlatformSpec& platform, const workloads::JobMix& mix,
-       const std::string& policy_name, Seconds duration,
+       const std::string& policy_name, bool vanilla, Seconds duration,
        const faults::FaultPlan* plan, std::uint64_t fault_seed,
        faults::FaultStats* stats_out = nullptr)
 {
     sim::SimulatedServer server = harness::makeServer(platform, mix);
-    auto policy = harness::makePolicy(policy_name, server);
+    core::SatoriOptions satori_options;
+    if (vanilla)
+        satori_options.resilience = core::ResilienceOptions::vanilla();
+    auto policy = harness::makePolicy(policy_name, server, satori_options);
 
     harness::ExperimentOptions opt;
     opt.duration = duration;
@@ -107,10 +110,11 @@ main(int argc, char** argv)
     {
         const char* label;
         const char* policy;
+        bool vanilla; ///< The paper's controller, resilience layer off.
     };
-    const Row rows[] = {{"SATORI (hardened)", "SATORI"},
-                        {"SATORI (vanilla)", "SATORI-vanilla"},
-                        {"Equal", "Equal"}};
+    const Row rows[] = {{"SATORI (hardened)", "SATORI", false},
+                        {"SATORI (vanilla)", "SATORI", true},
+                        {"Equal", "Equal", false}};
 
     // Each mix's runs are independent: compute them on the worker
     // pool into per-mix slots, then fold and print in mix order so
@@ -122,16 +126,18 @@ main(int argc, char** argv)
         faults::FaultStats stats;
     };
     std::vector<MixOutcome> outcomes(mixes.size());
-    harness::parallelFor(mixes.size(), opt.threads, [&](std::size_t m) {
+    common::parallelFor(mixes.size(), opt.threads, [&](std::size_t m) {
         const auto& mix = mixes[m];
         const auto plan =
             faults::FaultPlan::escalating(mix.jobs.size(), horizon);
         for (std::size_t r = 0; r < 3; ++r) {
-            outcomes[m].clean[r] = runOne(platform, mix, rows[r].policy,
-                                          duration, nullptr, fault_seed);
+            const Row& row = rows[r];
+            outcomes[m].clean[r] = runOne(platform, mix, row.policy,
+                                          row.vanilla, duration, nullptr,
+                                          fault_seed);
             outcomes[m].faulted[r] =
-                runOne(platform, mix, rows[r].policy, duration, &plan,
-                       fault_seed, &outcomes[m].stats);
+                runOne(platform, mix, row.policy, row.vanilla, duration,
+                       &plan, fault_seed, &outcomes[m].stats);
         }
     });
 
@@ -153,11 +159,12 @@ main(int argc, char** argv)
                      TablePrinter::num(clean.balanced(), 4),
                      TablePrinter::num(faulted.balanced(), 4),
                      TablePrinter::num(retained * 100.0, 2)});
-            if (std::string(row.policy) == "SATORI") {
+            const bool satori = std::string(row.policy) == "SATORI";
+            if (satori && row.vanilla) {
+                sum_vanilla += retained;
+            } else if (satori) {
                 worst_hardened = std::min(worst_hardened, retained);
                 sum_hardened += retained;
-            } else if (std::string(row.policy) == "SATORI-vanilla") {
-                sum_vanilla += retained;
             }
         }
         std::printf("  %s faults: %s\n", mix.label.c_str(),

@@ -32,7 +32,7 @@ main(int argc, char** argv)
     const Seconds duration = opt.full ? 120.0 : 60.0;
 
     sim::SimulatedServer server = harness::makeServer(platform, mix);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
 
     TablePrinter table({"t (s)", "cores (per job)", "llc ways",
                         "mem bw", "drift vs t=0"});

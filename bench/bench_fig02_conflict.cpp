@@ -22,14 +22,13 @@ averageConfigs(const PlatformSpec& platform, const Configuration& a,
                const Configuration& b)
 {
     const std::size_t jobs = a.numJobs();
-    std::vector<std::vector<int>> alloc(platform.numResources());
+    Configuration out = a;
     for (std::size_t r = 0; r < platform.numResources(); ++r) {
-        alloc[r].resize(jobs);
+        const std::span<int> row = out.resourceRow(r);
         int assigned = 0;
         for (std::size_t j = 0; j < jobs; ++j) {
-            alloc[r][j] =
-                std::max(1, (a.units(r, j) + b.units(r, j)) / 2);
-            assigned += alloc[r][j];
+            row[j] = std::max(1, (a.units(r, j) + b.units(r, j)) / 2);
+            assigned += row[j];
         }
         // Repair rounding: hand leftovers to (or take overdraft from)
         // jobs round-robin, respecting the >=1 floor.
@@ -37,16 +36,16 @@ averageConfigs(const PlatformSpec& platform, const Configuration& a,
         std::size_t k = 0;
         while (excess != 0) {
             if (excess > 0) {
-                alloc[r][k] += 1;
+                row[k] += 1;
                 --excess;
-            } else if (alloc[r][k] > 1) {
-                alloc[r][k] -= 1;
+            } else if (row[k] > 1) {
+                row[k] -= 1;
                 ++excess;
             }
             k = (k + 1) % jobs;
         }
     }
-    return Configuration(alloc);
+    return out;
 }
 
 } // namespace
@@ -67,7 +66,7 @@ main(int argc, char** argv)
 
     // --- Instantaneous conflict at several phase signatures ---------
     sim::SimulatedServer probe = harness::makeServer(platform, mix);
-    harness::OfflineEvaluator eval(probe);
+    sim::OfflineEvaluator eval(probe);
 
     TablePrinter conflict({"phase sig", "T-opt: T", "T-opt: F/F*",
                            "F-opt: F", "F-opt: T/T*", "config dist"});
@@ -129,7 +128,7 @@ main(int argc, char** argv)
       private:
         const sim::SimulatedServer& server_;
         const PlatformSpec& platform_;
-        harness::OfflineEvaluator eval_;
+        sim::OfflineEvaluator eval_;
     };
 
     sim::SimulatedServer s_avg = harness::makeServer(platform, mix);
@@ -156,7 +155,7 @@ main(int argc, char** argv)
 
       private:
         const sim::SimulatedServer& server_;
-        harness::OfflineEvaluator eval_;
+        sim::OfflineEvaluator eval_;
         std::size_t step_ = 0;
     };
 

@@ -31,7 +31,7 @@ main(int argc, char** argv)
     const PlatformSpec platform = PlatformSpec::paperTestbed();
     const auto mix = bench::canonicalParsecMix();
     sim::SimulatedServer server = harness::makeServer(platform, mix);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     Rng rng(17);
     ConfigurationSpace space(platform, mix.jobs.size());
 

@@ -23,7 +23,7 @@ meanOracleDistance(const PlatformSpec& platform,
 {
     sim::SimulatedServer server =
         harness::makeServer(platform, mix, seed);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     auto policy = harness::makePolicy(policy_name, server);
     sim::PerfMonitor monitor(server);
     OnlineStats dist;

@@ -97,7 +97,7 @@ BM_OracleSearchCold(benchmark::State& state)
     std::uint64_t salt = 0;
     for (auto _ : state) {
         // Fresh evaluator each time: the full ~3.3M-config sweep.
-        harness::OfflineEvaluator eval(server);
+        sim::OfflineEvaluator eval(server);
         const double w = 0.5 + 1e-9 * static_cast<double>(++salt);
         benchmark::DoNotOptimize(eval.bestFor(sig, w, 1.0 - w));
     }
@@ -112,7 +112,7 @@ BM_OracleSearchMemoized(benchmark::State& state)
         workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
                           "freqmine", "streamcluster"});
     sim::SimulatedServer server = harness::makeServer(platform, mix);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     std::vector<std::size_t> sig(server.numJobs(), 0);
     eval.bestFor(sig, 0.5, 0.5); // warm the memo
     for (auto _ : state)

@@ -64,7 +64,8 @@ class CandidateGenerator
     /**
      * One round of candidates: random samples, all one-unit
      * neighbors of @p incumbent, then (when structured) seeds and the
-     * concentration set, deduplicated by rank.
+     * concentration set, each configuration kept at its first
+     * occurrence.
      */
     [[nodiscard]] std::vector<Configuration> generate(const Configuration& incumbent,
                                         Rng& rng) const;

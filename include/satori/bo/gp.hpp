@@ -79,16 +79,11 @@ class GaussianProcess
     void addObservation(const RealVec& x, double target);
 
     /**
-     * Like fit(), but recognizes two cheap relationships between
-     * @p inputs and the currently fitted training set:
-     *  - identical inputs: only the targets changed (SATORI's
-     *    re-weighted per-interval reconstruction), so the cached
-     *    factorization is reused and only the O(n^2) standardize +
-     *    solve re-runs;
-     *  - one appended input: the rank-1 addObservation path.
-     * Anything else (dropped or reordered samples) takes the full
-     * O(n^3) refit. Equality is bitwise, so a false negative
-     * merely costs a full refit, never correctness.
+     * Like fit(), but when @p inputs is the currently fitted training
+     * set plus one appended input it takes the rank-1 addObservation
+     * path. Anything else (identical, dropped or reordered samples)
+     * takes the full O(n^3) refit. Prefix equality is bitwise, so a
+     * false negative merely costs a full refit, never correctness.
      */
     void fitIncremental(const std::vector<RealVec>& inputs,
                         const std::vector<double>& targets);
@@ -127,7 +122,9 @@ class GaussianProcess
     /**
      * Refit trying each length scale in @p grid and keeping the one
      * with the highest log marginal likelihood. Cheap-and-cheerful
-     * hyperparameter adaptation suitable for online use.
+     * hyperparameter adaptation suitable for online use. If no grid
+     * point has a likelihood above -inf (every LML NaN, as with NaN
+     * targets), the last grid point's fit stays.
      */
     void fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
                                 const std::vector<double>& targets,

@@ -7,6 +7,8 @@
 #ifndef SATORI_CONFIG_CONFIGURATION_HPP
 #define SATORI_CONFIG_CONFIGURATION_HPP
 
+#include <compare>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +22,11 @@ namespace satori {
  * to all co-located jobs. Every job receives at least one unit of
  * every resource and the units of each resource are fully assigned.
  *
- * Stored as allocation[resource][job] in integer units.
+ * Stored row-major in integer units: one row per resource, one entry
+ * per job, so a copy is a single allocation. Two configurations are
+ * the same configuration exactly when their job counts and unit
+ * buffers are equal, and they order lexicographically by that buffer
+ * (for one shape, the ConfigurationSpace::at() order).
  */
 class Configuration
 {
@@ -31,15 +37,20 @@ class Configuration
     /**
      * Construct from explicit unit assignments.
      *
-     * @param alloc alloc[r][j] = units of resource r given to job j.
+     * @param num_jobs Number of co-located jobs (>= 1).
+     * @param units Row-major: units[r * num_jobs + j] = units of
+     *        resource r given to job j. @pre a multiple of num_jobs long.
      */
-    explicit Configuration(std::vector<std::vector<int>> alloc);
+    Configuration(std::size_t num_jobs, std::vector<int> units);
 
     /** Number of co-located jobs. */
-    [[nodiscard]] std::size_t numJobs() const;
+    [[nodiscard]] std::size_t numJobs() const { return num_jobs_; }
 
     /** Number of resources. */
-    [[nodiscard]] std::size_t numResources() const { return alloc_.size(); }
+    [[nodiscard]] std::size_t numResources() const
+    {
+        return num_jobs_ == 0 ? 0 : units_.size() / num_jobs_;
+    }
 
     /** Units of resource @p r given to job @p j. */
     [[nodiscard]] int units(ResourceIndex r, JobIndex j) const;
@@ -48,7 +59,10 @@ class Configuration
     int& units(ResourceIndex r, JobIndex j);
 
     /** The allocation row for resource @p r (one entry per job). */
-    [[nodiscard]] const std::vector<int>& resourceRow(ResourceIndex r) const;
+    [[nodiscard]] std::span<const int> resourceRow(ResourceIndex r) const;
+
+    /** Mutable row (validity must be restored by the caller). */
+    std::span<int> resourceRow(ResourceIndex r);
 
     /** Total units assigned for resource @p r. */
     [[nodiscard]] int totalUnits(ResourceIndex r) const;
@@ -100,11 +114,12 @@ class Configuration
     /** Compact human-readable rendering, e.g. "[5,5|6,5|5,5]". */
     [[nodiscard]] std::string toString() const;
 
-    /** Structural equality. */
-    bool operator==(const Configuration& other) const;
+    /** Structural identity and order: job count, then units. */
+    auto operator<=>(const Configuration& other) const = default;
 
   private:
-    std::vector<std::vector<int>> alloc_;
+    std::size_t num_jobs_ = 0;
+    std::vector<int> units_;
 };
 
 } // namespace satori

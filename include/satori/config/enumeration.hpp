@@ -12,6 +12,7 @@
 #define SATORI_CONFIG_ENUMERATION_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "satori/common/rng.hpp"
@@ -22,7 +23,7 @@ namespace satori {
 
 /**
  * Enumerates compositions of @p units into @p parts positive integer
- * parts in lexicographic order, with O(parts) ranking/unranking.
+ * parts in lexicographic order.
  */
 class CompositionSpace
 {
@@ -33,14 +34,14 @@ class CompositionSpace
     /** Number of compositions: C(units-1, parts-1). */
     [[nodiscard]] std::uint64_t size() const { return size_; }
 
-    /** The @p index-th composition in lexicographic order. */
-    [[nodiscard]] std::vector<int> at(std::uint64_t index) const;
+    /**
+     * Write the @p index-th composition in lexicographic order into
+     * @p out. @pre out.size() == parts().
+     */
+    void at(std::uint64_t index, std::span<int> out) const;
 
-    /** Rank of a composition (inverse of at()). */
-    [[nodiscard]] std::uint64_t rank(const std::vector<int>& composition) const;
-
-    /** A uniformly random composition. */
-    [[nodiscard]] std::vector<int> sample(Rng& rng) const;
+    /** Write a uniformly random composition into @p out (as at()). */
+    void sample(Rng& rng, std::span<int> out) const;
 
     /** Units being split. */
     [[nodiscard]] int units() const { return units_; }
@@ -56,8 +57,8 @@ class CompositionSpace
 
 /**
  * The joint configuration space over all resources of a platform for
- * a fixed number of co-located jobs. Provides size, index<->config
- * bijection, uniform sampling, and neighborhood generation.
+ * a fixed number of co-located jobs. Provides size, index -> config
+ * enumeration, uniform sampling, and neighborhood generation.
  */
 class ConfigurationSpace
 {
@@ -67,11 +68,12 @@ class ConfigurationSpace
     /** Total number of valid configurations (Sec. II formula). */
     [[nodiscard]] std::uint64_t size() const { return size_; }
 
-    /** The @p index-th configuration (mixed-radix over resources). */
+    /**
+     * The @p index-th configuration: mixed-radix over resources,
+     * resource 0 most significant, so ascending indices give
+     * ascending configurations.
+     */
     [[nodiscard]] Configuration at(std::uint64_t index) const;
-
-    /** Rank of a configuration (inverse of at()). */
-    [[nodiscard]] std::uint64_t rank(const Configuration& config) const;
 
     /** A uniformly random configuration. */
     [[nodiscard]] Configuration sample(Rng& rng) const;

@@ -77,7 +77,10 @@ class GoalRecorder
     /**
      * Index of the most recent sample of the configuration whose
      * *averaged* combined objective (over its repeated evaluations)
-     * is highest - a noise-robust incumbent selection. @pre !empty().
+     * is highest - a noise-robust incumbent selection. An exact tie
+     * goes to the configuration whose toString() sorts first; NaN
+     * scores never win, and if every score is NaN the newest sample
+     * is returned. @pre !empty().
      */
     [[nodiscard]] std::size_t bestSampleByAveragedObjective(
         const std::vector<double>& weights,

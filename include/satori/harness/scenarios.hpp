@@ -30,16 +30,16 @@ namespace harness {
 /**
  * Construct a policy by name. Recognized names:
  * "Equal", "Random", "dCAT", "CoPart", "PARTIES", "CLITE",
- * "SATORI", "SATORI-vanilla" (resilience layer off),
- * "SATORI-static", "Throughput-SATORI", "Fairness-SATORI",
+ * "SATORI", "SATORI-static", "Throughput-SATORI", "Fairness-SATORI",
  * "Balanced-Oracle", "Throughput-Oracle", "Fairness-Oracle".
  *
  * @param server Needed by oracle policies (privileged model access);
  *        must outlive the returned policy. Non-oracle policies only
  *        use its platform/job count.
  * @param satori_options Used for the SATORI variants (mode overridden
- *        to match the requested variant); the Oracles maximize with
- *        the metrics of its objective.
+ *        to match the requested variant; set its resilience to
+ *        ResilienceOptions::vanilla() for the paper's controller); the
+ *        Oracles maximize with the metrics of its objective.
  */
 std::unique_ptr<policies::PartitioningPolicy> makePolicy(
     const std::string& name, const sim::SimulatedServer& server,

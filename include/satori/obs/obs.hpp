@@ -69,7 +69,12 @@ struct LibraryMetrics
     Counter& bo_screen_pruned;       ///< See bo_screen_kept.
     Counter& gp_fits;                ///< GP Cholesky factorizations.
     Counter& gp_incremental_updates; ///< O(n^2) rank-1 GP appends.
-    Counter& gp_refresh_solves;      ///< Factor-reusing target refreshes.
+    /**
+     * Retired like bo_screen_kept: GaussianProcess::fitIncremental no
+     * longer has a target-only refresh path, so this stays 0. It is
+     * still registered because perfbench/ reads it.
+     */
+    Counter& gp_refresh_solves;
     Counter& guard_healthy;          ///< Telemetry samples passed.
     Counter& guard_repaired;         ///< Telemetry samples repaired.
     Counter& guard_unusable;         ///< Telemetry samples rejected.

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +54,7 @@ class StateWriter
     void putSize(std::size_t v);
     void putString(std::string_view v);
     void putDoubleVec(const std::vector<double>& v);
-    void putIntVec(const std::vector<int>& v);
+    void putIntVec(std::span<const int> v);
 
     /** The encoded bytes so far. */
     [[nodiscard]] const std::string& bytes() const { return buf_; }

@@ -40,7 +40,7 @@ class OraclePolicy final : public PartitioningPolicy
      * @param options Search knobs (stride cap, metrics).
      */
     OraclePolicy(const sim::SimulatedServer& server, OracleKind kind,
-                 harness::OfflineEvaluator::Options options = {});
+                 sim::OfflineEvalOptions options = {});
 
     [[nodiscard]] std::string name() const override;
     Configuration decide(const sim::IntervalObservation& obs) override;
@@ -52,12 +52,12 @@ class OraclePolicy final : public PartitioningPolicy
     [[nodiscard]] double weightFairness() const { return w_f_; }
 
     /** Access the underlying evaluator (e.g. for distance figures). */
-    harness::OfflineEvaluator& evaluator() { return *evaluator_; }
+    sim::OfflineEvaluator& evaluator() { return *evaluator_; }
 
   private:
     const sim::SimulatedServer& server_;
     OracleKind kind_;
-    std::unique_ptr<harness::OfflineEvaluator> evaluator_;
+    std::unique_ptr<sim::OfflineEvaluator> evaluator_;
     double w_t_;
     double w_f_;
 };

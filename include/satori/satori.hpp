@@ -21,6 +21,7 @@
 
 #include "satori/common/logging.hpp"
 #include "satori/common/math.hpp"
+#include "satori/common/parallel.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/common/stats.hpp"
 #include "satori/common/table.hpp"
@@ -80,7 +81,6 @@
 
 #include "satori/harness/experiment.hpp"
 #include "satori/sim/offline_eval.hpp"
-#include "satori/harness/parallel.hpp"
 #include "satori/harness/report.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/harness/trace.hpp"

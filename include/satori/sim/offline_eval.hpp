@@ -63,15 +63,12 @@ struct OfflineEvalOptions
 class OfflineEvaluator
 {
   public:
-    /** Kept for source compatibility with nested-options style. */
-    using Options = OfflineEvalOptions;
-
     /**
      * Attach to a server (read-only; never mutates it). Fatal if
      * @p options.max_evals is 0.
      */
     explicit OfflineEvaluator(const SimulatedServer& server,
-                              Options options = {});
+                              OfflineEvalOptions options = {});
 
     /**
      * Normalized (throughput, fairness) of @p config with jobs pinned
@@ -103,7 +100,7 @@ class OfflineEvaluator
         const std::vector<std::size_t>& phase_signature) const;
 
     const SimulatedServer& server_;
-    Options options_;
+    OfflineEvalOptions options_;
     ConfigurationSpace space_;
 
     using MemoKey = std::pair<std::vector<std::size_t>,
@@ -113,14 +110,6 @@ class OfflineEvaluator
 };
 
 } // namespace sim
-
-// The evaluator began life in the harness subsystem; harness-side
-// code and the tests still use the old spelling.
-namespace harness {
-using sim::OfflineEvalOptions;
-using sim::OfflineEvaluator;
-using sim::OracleResult;
-} // namespace harness
 
 } // namespace satori
 

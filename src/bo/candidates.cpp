@@ -1,6 +1,6 @@
 #include "satori/bo/candidates.hpp"
 
-#include <unordered_set>
+#include <set>
 
 #include "satori/common/logging.hpp"
 
@@ -50,12 +50,10 @@ CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
     std::vector<Configuration> out;
     // `seen` is queried only for membership — the emitted order is the
     // insertion order of `out`, so candidate lists replay exactly for a
-    // given (incumbent, rng state) regardless of hash-bucket layout.
-    // Iterating `seen` here would break replay; see BoTest.
-    std::unordered_set<std::uint64_t> seen;
+    // given (incumbent, rng state).
+    std::set<Configuration> seen;
     auto push_unique = [&](Configuration c) {
-        const std::uint64_t key = space_.rank(c);
-        if (seen.insert(key).second)
+        if (seen.insert(c).second)
             out.push_back(std::move(c));
     };
 

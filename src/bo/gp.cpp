@@ -204,18 +204,6 @@ GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
 {
     SATORI_ASSERT(inputs.size() == targets.size());
     SATORI_ASSERT(!inputs.empty());
-    if (fitted_ && inputs.size() == inputs_.size() &&
-        samePrefix(inputs, inputs_.size())) {
-        // Same geometry, new targets (the re-weighted per-interval
-        // reconstruction): reuse the factor, re-solve only.
-        SATORI_OBS_SPAN("gp.fit.refresh");
-        SATORI_OBS_METRIC(gp_refresh_solves.inc());
-        y_raw_ = targets;
-        standardizeAndSolve();
-        if (scaleDrifted())
-            refitFromCache();
-        return;
-    }
     if (fitted_ && inputs.size() == inputs_.size() + 1 &&
         samePrefix(inputs, inputs_.size())) {
         const bool extended = tryExtendFactor(inputs.back());
@@ -376,6 +364,9 @@ GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
             best_cache = k_cache_;
         }
     }
+    // Every LML was NaN (e.g. NaN targets): keep the last grid fit.
+    if (!best_chol)
+        return;
     kernel_ = Matern52Kernel(best_ls, kernel_.variance());
     chol_ = std::move(best_chol);
     alpha_ = std::move(best_alpha);

@@ -8,47 +8,44 @@
 
 namespace satori {
 
-Configuration::Configuration(std::vector<std::vector<int>> alloc)
-    : alloc_(std::move(alloc))
+Configuration::Configuration(std::size_t num_jobs, std::vector<int> units)
+    : num_jobs_(num_jobs), units_(std::move(units))
 {
-    if (!alloc_.empty()) {
-        const std::size_t jobs = alloc_.front().size();
-        for (const auto& row : alloc_)
-            SATORI_ASSERT(row.size() == jobs);
-    }
-}
-
-std::size_t
-Configuration::numJobs() const
-{
-    return alloc_.empty() ? 0 : alloc_.front().size();
+    SATORI_ASSERT(num_jobs_ >= 1 && units_.size() % num_jobs_ == 0);
 }
 
 int
 Configuration::units(ResourceIndex r, JobIndex j) const
 {
-    SATORI_ASSERT(r < alloc_.size() && j < alloc_[r].size());
-    return alloc_[r][j];
+    SATORI_ASSERT(r < numResources() && j < num_jobs_);
+    return units_[r * num_jobs_ + j];
 }
 
 int&
 Configuration::units(ResourceIndex r, JobIndex j)
 {
-    SATORI_ASSERT(r < alloc_.size() && j < alloc_[r].size());
-    return alloc_[r][j];
+    SATORI_ASSERT(r < numResources() && j < num_jobs_);
+    return units_[r * num_jobs_ + j];
 }
 
-const std::vector<int>&
+std::span<const int>
 Configuration::resourceRow(ResourceIndex r) const
 {
-    SATORI_ASSERT(r < alloc_.size());
-    return alloc_[r];
+    SATORI_ASSERT(r < numResources());
+    return {units_.data() + r * num_jobs_, num_jobs_};
+}
+
+std::span<int>
+Configuration::resourceRow(ResourceIndex r)
+{
+    SATORI_ASSERT(r < numResources());
+    return {units_.data() + r * num_jobs_, num_jobs_};
 }
 
 int
 Configuration::totalUnits(ResourceIndex r) const
 {
-    const auto& row = resourceRow(r);
+    const std::span<const int> row = resourceRow(r);
     return std::accumulate(row.begin(), row.end(), 0);
 }
 
@@ -56,13 +53,11 @@ bool
 Configuration::isValidFor(const PlatformSpec& platform,
                           std::size_t num_jobs) const
 {
-    if (alloc_.size() != platform.numResources())
+    if (num_jobs_ != num_jobs || numResources() != platform.numResources())
         return false;
-    for (std::size_t r = 0; r < alloc_.size(); ++r) {
-        if (alloc_[r].size() != num_jobs)
-            return false;
+    for (std::size_t r = 0; r < numResources(); ++r) {
         int total = 0;
-        for (int u : alloc_[r]) {
+        for (int u : resourceRow(r)) {
             if (u < 1)
                 return false;
             total += u;
@@ -78,7 +73,8 @@ Configuration::equalPartition(const PlatformSpec& platform,
                               std::size_t num_jobs)
 {
     SATORI_ASSERT(num_jobs >= 1);
-    std::vector<std::vector<int>> alloc(platform.numResources());
+    Configuration out(num_jobs,
+                      std::vector<int>(platform.numResources() * num_jobs));
     for (std::size_t r = 0; r < platform.numResources(); ++r) {
         const int units = platform.units(r);
         if (static_cast<std::size_t>(units) < num_jobs)
@@ -87,22 +83,21 @@ Configuration::equalPartition(const PlatformSpec& platform,
                          "' has fewer units than co-located jobs");
         const int base = units / static_cast<int>(num_jobs);
         const int extra = units % static_cast<int>(num_jobs);
-        alloc[r].assign(num_jobs, base);
-        for (int j = 0; j < extra; ++j)
-            alloc[r][static_cast<std::size_t>(j)] += 1;
+        for (std::size_t j = 0; j < num_jobs; ++j)
+            out.units(r, j) = base + (static_cast<int>(j) < extra ? 1 : 0);
     }
-    return Configuration(std::move(alloc));
+    return out;
 }
 
 RealVec
 Configuration::normalizedVector() const
 {
     RealVec out;
-    out.reserve(numResources() * numJobs());
+    out.reserve(units_.size());
     for (std::size_t r = 0; r < numResources(); ++r) {
         const double total = static_cast<double>(totalUnits(r));
-        for (std::size_t j = 0; j < numJobs(); ++j)
-            out.push_back(static_cast<double>(alloc_[r][j]) / total);
+        for (const int u : resourceRow(r))
+            out.push_back(static_cast<double>(u) / total);
     }
     return out;
 }
@@ -113,12 +108,9 @@ Configuration::distance(const Configuration& a, const Configuration& b)
     SATORI_ASSERT(a.numResources() == b.numResources());
     SATORI_ASSERT(a.numJobs() == b.numJobs());
     double d2 = 0.0;
-    for (std::size_t r = 0; r < a.numResources(); ++r) {
-        for (std::size_t j = 0; j < a.numJobs(); ++j) {
-            const double d =
-                static_cast<double>(a.alloc_[r][j] - b.alloc_[r][j]);
-            d2 += d * d;
-        }
+    for (std::size_t i = 0; i < a.units_.size(); ++i) {
+        const double d = static_cast<double>(a.units_[i] - b.units_[i]);
+        d2 += d * d;
     }
     return std::sqrt(d2);
 }
@@ -129,21 +121,20 @@ Configuration::l1Distance(const Configuration& a, const Configuration& b)
     SATORI_ASSERT(a.numResources() == b.numResources());
     SATORI_ASSERT(a.numJobs() == b.numJobs());
     int d = 0;
-    for (std::size_t r = 0; r < a.numResources(); ++r)
-        for (std::size_t j = 0; j < a.numJobs(); ++j)
-            d += std::abs(a.alloc_[r][j] - b.alloc_[r][j]);
+    for (std::size_t i = 0; i < a.units_.size(); ++i)
+        d += std::abs(a.units_[i] - b.units_[i]);
     return d;
 }
 
 bool
 Configuration::transferUnit(ResourceIndex r, JobIndex from, JobIndex to)
 {
-    SATORI_ASSERT(r < alloc_.size());
-    SATORI_ASSERT(from < numJobs() && to < numJobs());
-    if (from == to || alloc_[r][from] <= 1)
+    SATORI_ASSERT(from < num_jobs_ && to < num_jobs_);
+    int& giver = units(r, from);
+    if (from == to || giver <= 1)
         return false;
-    alloc_[r][from] -= 1;
-    alloc_[r][to] += 1;
+    giver -= 1;
+    units(r, to) += 1;
     return true;
 }
 
@@ -152,23 +143,13 @@ Configuration::toString() const
 {
     std::ostringstream os;
     os << "[";
-    for (std::size_t r = 0; r < alloc_.size(); ++r) {
-        if (r)
-            os << "|";
-        for (std::size_t j = 0; j < alloc_[r].size(); ++j) {
-            if (j)
-                os << ",";
-            os << alloc_[r][j];
-        }
+    for (std::size_t i = 0; i < units_.size(); ++i) {
+        if (i)
+            os << (i % num_jobs_ == 0 ? "|" : ",");
+        os << units_[i];
     }
     os << "]";
     return os.str();
-}
-
-bool
-Configuration::operator==(const Configuration& other) const
-{
-    return alloc_ == other.alloc_;
 }
 
 } // namespace satori

@@ -18,11 +18,11 @@ CompositionSpace::CompositionSpace(int units, int parts)
                      static_cast<std::uint64_t>(parts - 1));
 }
 
-std::vector<int>
-CompositionSpace::at(std::uint64_t index) const
+void
+CompositionSpace::at(std::uint64_t index, std::span<int> out) const
 {
     SATORI_ASSERT(index < size_);
-    std::vector<int> out(static_cast<std::size_t>(parts_));
+    SATORI_ASSERT(out.size() == static_cast<std::size_t>(parts_));
     int remaining_units = units_;
     for (int p = 0; p < parts_ - 1; ++p) {
         const int remaining_parts = parts_ - p - 1;
@@ -41,35 +41,12 @@ CompositionSpace::at(std::uint64_t index) const
         }
     }
     out[static_cast<std::size_t>(parts_ - 1)] = remaining_units;
-    return out;
 }
 
-std::uint64_t
-CompositionSpace::rank(const std::vector<int>& composition) const
+void
+CompositionSpace::sample(Rng& rng, std::span<int> out) const
 {
-    SATORI_ASSERT(composition.size() == static_cast<std::size_t>(parts_));
-    std::uint64_t index = 0;
-    int remaining_units = units_;
-    for (int p = 0; p < parts_ - 1; ++p) {
-        const int remaining_parts = parts_ - p - 1;
-        const int value = composition[static_cast<std::size_t>(p)];
-        SATORI_ASSERT(value >= 1);
-        for (int first = 1; first < value; ++first) {
-            index += binomial(static_cast<std::uint64_t>(
-                                  remaining_units - first - 1),
-                              static_cast<std::uint64_t>(
-                                  remaining_parts - 1));
-        }
-        remaining_units -= value;
-    }
-    SATORI_ASSERT(composition.back() == remaining_units);
-    return index;
-}
-
-std::vector<int>
-CompositionSpace::sample(Rng& rng) const
-{
-    return at(rng.uniformInt(size_));
+    at(rng.uniformInt(size_), out);
 }
 
 ConfigurationSpace::ConfigurationSpace(const PlatformSpec& platform,
@@ -89,35 +66,25 @@ Configuration
 ConfigurationSpace::at(std::uint64_t index) const
 {
     SATORI_ASSERT(index < size_);
-    std::vector<std::vector<int>> alloc(per_resource_.size());
+    Configuration out(num_jobs_,
+                      std::vector<int>(per_resource_.size() * num_jobs_));
     // Mixed-radix decomposition, least-significant resource last.
     for (std::size_t r = per_resource_.size(); r-- > 0;) {
         const std::uint64_t radix = per_resource_[r].size();
-        alloc[r] = per_resource_[r].at(index % radix);
+        per_resource_[r].at(index % radix, out.resourceRow(r));
         index /= radix;
     }
-    return Configuration(std::move(alloc));
-}
-
-std::uint64_t
-ConfigurationSpace::rank(const Configuration& config) const
-{
-    SATORI_ASSERT(config.numResources() == per_resource_.size());
-    std::uint64_t index = 0;
-    for (std::size_t r = 0; r < per_resource_.size(); ++r) {
-        index = index * per_resource_[r].size() +
-                per_resource_[r].rank(config.resourceRow(r));
-    }
-    return index;
+    return out;
 }
 
 Configuration
 ConfigurationSpace::sample(Rng& rng) const
 {
-    std::vector<std::vector<int>> alloc(per_resource_.size());
+    Configuration out(num_jobs_,
+                      std::vector<int>(per_resource_.size() * num_jobs_));
     for (std::size_t r = 0; r < per_resource_.size(); ++r)
-        alloc[r] = per_resource_[r].sample(rng);
-    return Configuration(std::move(alloc));
+        per_resource_[r].sample(rng, out.resourceRow(r));
+    return out;
 }
 
 std::vector<Configuration>

@@ -1,8 +1,8 @@
 #include "satori/core/goal_record.hpp"
 
 #include <cmath>
+#include <functional>
 #include <map>
-#include <string>
 
 #include "satori/common/logging.hpp"
 #include "satori/persist/codec.hpp"
@@ -73,8 +73,15 @@ GoalRecorder::bestSampleByAveragedObjective(
     // measurements taken in stale program phases fade out), minus an
     // uncertainty discount that keeps a single lucky noisy sample
     // from being declared the incumbent.
-    std::map<std::string, std::pair<double, double>> grouped;
-    std::map<std::string, std::size_t> latest;
+    struct Group
+    {
+        double weighted_sum = 0.0;
+        double weight = 0.0;
+        std::size_t latest = 0;
+    };
+    std::map<std::reference_wrapper<const Configuration>, Group,
+             std::less<Configuration>>
+        grouped;
     const std::size_t n = samples_.size();
     for (std::size_t i = 0; i < n; ++i) {
         const auto& s = samples_[i];
@@ -83,25 +90,36 @@ GoalRecorder::bestSampleByAveragedObjective(
             y += weights[k] * s.goals[k];
         const double recency =
             std::pow(0.97, static_cast<double>(n - 1 - i));
-        auto& acc = grouped[s.config.toString()];
-        acc.first += recency * y;
-        acc.second += recency;
-        latest[s.config.toString()] = i;
+        Group& g = grouped[std::cref(s.config)];
+        g.weighted_sum += recency * y;
+        g.weight += recency;
+        g.latest = i;
     }
-    std::string best_key;
-    double best_score = -2.0;
-    for (const auto& [key, acc] : grouped) {
-        const double m = acc.first / acc.second;
-        // acc.second is the effective (recency-discounted) sample
+    // Highest score wins, and an exact tie goes to the configuration
+    // whose rendering sorts first. NaN scores never win; when every
+    // score is NaN the newest sample stands.
+    const Configuration* best_config = nullptr;
+    std::size_t best = n - 1;
+    double best_score = 0.0;
+    for (const auto& [config, g] : grouped) {
+        const double m = g.weighted_sum / g.weight;
+        // g.weight is the effective (recency-discounted) sample
         // count; the discount shrinks as evaluations accumulate.
         const double score =
-            m - uncertainty_kappa / std::sqrt(std::max(acc.second, 1e-3));
-        if (score > best_score) {
+            m - uncertainty_kappa / std::sqrt(std::max(g.weight, 1e-3));
+        if (std::isnan(score))
+            continue;
+        // Only an exactly equal score defers to the rendering order.
+        // satori-analyzer: allow(num-float-eq)
+        const bool tie = best_config != nullptr && score == best_score;
+        if (best_config == nullptr || score > best_score ||
+            (tie && config.get().toString() < best_config->toString())) {
+            best_config = &config.get();
             best_score = score;
-            best_key = key;
+            best = g.latest;
         }
     }
-    return latest.at(best_key);
+    return best;
 }
 
 void

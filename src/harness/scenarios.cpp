@@ -50,17 +50,11 @@ makePolicy(const std::string& name, const sim::SimulatedServer& server,
     if (name == "CLITE") {
         return std::make_unique<policies::ClitePolicy>(platform, jobs);
     }
-    if (name == "SATORI" || name == "SATORI-vanilla" ||
-        name == "SATORI-static" || name == "Throughput-SATORI" ||
-        name == "Fairness-SATORI") {
-        if (name == "SATORI") {
+    if (name == "SATORI" || name == "SATORI-static" ||
+        name == "Throughput-SATORI" || name == "Fairness-SATORI") {
+        if (name == "SATORI")
             satori_options.mode = core::GoalMode::Balanced;
-        } else if (name == "SATORI-vanilla") {
-            // The paper's controller without the resilience layer:
-            // the baseline bench_fault_resilience degrades.
-            satori_options.mode = core::GoalMode::Balanced;
-            satori_options.resilience = core::ResilienceOptions::vanilla();
-        } else if (name == "SATORI-static")
+        else if (name == "SATORI-static")
             satori_options.mode = core::GoalMode::StaticEqual;
         else if (name == "Throughput-SATORI")
             satori_options.mode = core::GoalMode::ThroughputOnly;
@@ -71,7 +65,7 @@ makePolicy(const std::string& name, const sim::SimulatedServer& server,
     }
     // The Oracles score configurations with the objective's metrics,
     // so they stay the ceiling SATORI is reported against.
-    OfflineEvalOptions oracle_options;
+    sim::OfflineEvalOptions oracle_options;
     oracle_options.tmetric = satori_options.objective.throughputMetric();
     oracle_options.fmetric = satori_options.objective.fairnessMetric();
     if (name == "Balanced-Oracle") {

@@ -73,7 +73,7 @@ LibraryMetrics::LibraryMetrics(MetricsRegistry& registry)
           "Rank-1 Cholesky appends that skipped the full refit")),
       gp_refresh_solves(registry.counter(
           "satori.gp.refresh_solves",
-          "Target-only refreshes that reused the cached factor")),
+          "Retired (the target-only refresh was removed); always 0")),
       guard_healthy(registry.counter(
           "satori.guard.healthy",
           "Telemetry samples the guard passed through unchanged")),

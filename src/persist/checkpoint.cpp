@@ -7,7 +7,7 @@
 
 #include "satori/common/logging.hpp"
 #include "satori/obs/obs.hpp"
-#include "satori/persist/io.hpp"
+#include "satori/common/io.hpp"
 
 namespace satori {
 namespace persist {

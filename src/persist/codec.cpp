@@ -104,7 +104,7 @@ StateWriter::putDoubleVec(const std::vector<double>& v)
 }
 
 void
-StateWriter::putIntVec(const std::vector<int>& v)
+StateWriter::putIntVec(std::span<const int> v)
 {
     putU64(v.size());
     for (const int x : v)

@@ -1,7 +1,7 @@
 #include "satori/persist/snapshot.hpp"
 
 #include "satori/common/logging.hpp"
-#include "satori/persist/io.hpp"
+#include "satori/common/io.hpp"
 
 namespace satori {
 namespace persist {

@@ -1,5 +1,6 @@
 #include "satori/persist/state.hpp"
 
+#include "satori/common/logging.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/common/stats.hpp"
 #include "satori/persist/codec.hpp"
@@ -21,11 +22,19 @@ getConfiguration(StateReader& r)
     const std::size_t num_resources = r.getSize();
     if (num_resources == 0)
         return Configuration{};
-    std::vector<std::vector<int>> alloc;
-    alloc.reserve(num_resources);
-    for (std::size_t i = 0; i < num_resources; ++i)
-        alloc.push_back(r.getIntVec());
-    return Configuration(std::move(alloc));
+    std::vector<int> units = r.getIntVec();
+    const std::size_t num_jobs = units.size();
+    for (std::size_t i = 1; i < num_resources; ++i) {
+        const std::vector<int> row = r.getIntVec();
+        if (row.size() != num_jobs)
+            SATORI_FATAL("configuration state has rows of " +
+                         std::to_string(num_jobs) + " and " +
+                         std::to_string(row.size()) + " jobs");
+        units.insert(units.end(), row.begin(), row.end());
+    }
+    if (num_jobs == 0)
+        SATORI_FATAL("configuration state has no jobs");
+    return Configuration(num_jobs, std::move(units));
 }
 
 } // namespace persist

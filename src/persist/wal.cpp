@@ -6,7 +6,7 @@
 #include <system_error>
 
 #include "satori/common/logging.hpp"
-#include "satori/persist/io.hpp"
+#include "satori/common/io.hpp"
 #include "satori/persist/state.hpp"
 
 namespace satori {

@@ -21,10 +21,9 @@ oracleKindName(OracleKind kind)
 
 OraclePolicy::OraclePolicy(const sim::SimulatedServer& server,
                            OracleKind kind,
-                           harness::OfflineEvaluator::Options options)
+                           sim::OfflineEvalOptions options)
     : server_(server), kind_(kind),
-      evaluator_(std::make_unique<harness::OfflineEvaluator>(server,
-                                                             options))
+      evaluator_(std::make_unique<sim::OfflineEvaluator>(server, options))
 {
     switch (kind_) {
       case OracleKind::Throughput:

@@ -37,10 +37,13 @@ RestrictedPolicy::name() const
 Configuration
 RestrictedPolicy::project(const Configuration& full) const
 {
-    std::vector<std::vector<int>> alloc;
-    for (std::size_t idx : managed_indices_)
-        alloc.push_back(full.resourceRow(idx));
-    return Configuration(std::move(alloc));
+    std::vector<int> units;
+    units.reserve(managed_indices_.size() * num_jobs_);
+    for (std::size_t idx : managed_indices_) {
+        const std::span<const int> row = full.resourceRow(idx);
+        units.insert(units.end(), row.begin(), row.end());
+    }
+    return Configuration(num_jobs_, std::move(units));
 }
 
 Configuration

@@ -19,7 +19,7 @@ struct OfflineEvaluator::IpsTables
 };
 
 OfflineEvaluator::OfflineEvaluator(const SimulatedServer& server,
-                                   Options options)
+                                   OfflineEvalOptions options)
     : server_(server), options_(options),
       space_(server.platform(), server.numJobs())
 {
@@ -49,8 +49,7 @@ OfflineEvaluator::buildTables(
     }
 
     t.ips.assign(num_jobs, std::vector<double>(table_size, 0.0));
-    std::vector<std::vector<int>> alloc(
-        num_res, std::vector<int>(num_jobs, 1));
+    Configuration scratch(num_jobs, std::vector<int>(num_res * num_jobs, 1));
     for (std::size_t j = 0; j < num_jobs; ++j) {
         // Enumerate this job's possible unit vectors with an odometer
         // over resources; other jobs' units are irrelevant to job j's
@@ -60,8 +59,7 @@ OfflineEvaluator::buildTables(
         std::vector<int> units(num_res, 1);
         for (std::size_t flat = 0; flat < table_size; ++flat) {
             for (std::size_t r = 0; r < num_res; ++r)
-                alloc[r][j] = units[r];
-            const Configuration scratch(alloc);
+                scratch.units(r, j) = units[r];
             const auto view = server_.allocationView(scratch, j);
             const auto& phase =
                 server_.job(j).profile().phases.at(phase_signature[j]);
@@ -78,7 +76,7 @@ OfflineEvaluator::buildTables(
             }
         }
         for (std::size_t r = 0; r < num_res; ++r)
-            alloc[r][j] = 1;
+            scratch.units(r, j) = 1;
     }
 
     t.isolation.resize(num_jobs);
@@ -139,13 +137,14 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
     // offsets[r][c * num_jobs + j] = (u_j - 1) * stride_r.
     std::vector<std::uint64_t> radix(num_res);
     std::vector<std::vector<std::size_t>> offsets(num_res);
+    std::vector<int> parts(num_jobs);
     for (std::size_t r = 0; r < num_res; ++r) {
         const CompositionSpace comps(platform.units(r),
                                      static_cast<int>(num_jobs));
         radix[r] = comps.size();
         offsets[r].resize(radix[r] * num_jobs);
         for (std::uint64_t c = 0; c < radix[r]; ++c) {
-            const std::vector<int> parts = comps.at(c);
+            comps.at(c, parts);
             for (std::size_t j = 0; j < num_jobs; ++j) {
                 offsets[r][c * num_jobs + j] =
                     static_cast<std::size_t>(parts[j] - 1) *

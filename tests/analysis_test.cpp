@@ -49,7 +49,7 @@ TEST(AnalysisAuditor, OverCommittedAllocationTripsSum)
 {
     Auditor auditor;
     // Cores row sums to 5 > capacity 4; ways row is exact.
-    const Configuration config({{3, 2}, {3, 2}});
+    const Configuration config(2, {3, 2, 3, 2});
     auditor.checkAllocation(smallPlatform(), 2, config, __FILE__,
                             __LINE__);
     const auto stats = auditor.violations(CheckId::AllocationSum);
@@ -63,7 +63,7 @@ TEST(AnalysisAuditor, StarvedJobTripsMinUnit)
 {
     Auditor auditor;
     // Job 1 gets zero cores; sums still match capacity.
-    const Configuration config({{4, 0}, {3, 2}});
+    const Configuration config(2, {4, 0, 3, 2});
     auditor.checkAllocation(smallPlatform(), 2, config, __FILE__,
                             __LINE__);
     EXPECT_EQ(auditor.violations(CheckId::AllocationMinUnit).count, 1u);
@@ -73,7 +73,7 @@ TEST(AnalysisAuditor, StarvedJobTripsMinUnit)
 TEST(AnalysisAuditor, WrongShapeTripsShape)
 {
     Auditor auditor;
-    const Configuration config({{2, 2}}); // one resource, platform has 2
+    const Configuration config(2, {2, 2}); // one resource, platform has 2
     auditor.checkAllocation(smallPlatform(), 2, config, __FILE__,
                             __LINE__);
     EXPECT_EQ(auditor.violations(CheckId::AllocationShape).count, 1u);
@@ -230,9 +230,9 @@ TEST(AnalysisAuditor, ReportAggregatesFirstAndWorst)
 {
     Auditor auditor;
     const PlatformSpec platform = smallPlatform();
-    auditor.checkAllocation(platform, 2, Configuration({{3, 2}, {3, 2}}),
+    auditor.checkAllocation(platform, 2, Configuration(2, {3, 2, 3, 2}),
                             __FILE__, __LINE__);
-    auditor.checkAllocation(platform, 2, Configuration({{4, 3}, {3, 2}}),
+    auditor.checkAllocation(platform, 2, Configuration(2, {4, 3, 3, 2}),
                             __FILE__, __LINE__);
     const auto stats = auditor.violations(CheckId::AllocationSum);
     ASSERT_EQ(stats.count, 2u);

@@ -124,7 +124,7 @@ TEST(ApiTest, OfflineEvaluatorHandlesFourResources)
     p.addResource(ResourceKind::PowerCap, 4);
     auto server = harness::makeServer(
         p, workloads::mixOf({"canneal", "swaptions"}), 13);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     const std::vector<std::size_t> sig(2, 0);
     const auto& best = eval.bestFor(sig, 0.5, 0.5);
     EXPECT_TRUE(best.exhaustive);

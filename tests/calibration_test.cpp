@@ -52,7 +52,7 @@ TEST(CalibrationTest, PhaseChangeMovesTheThroughputOptimum)
         workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
                           "freqmine", "streamcluster"}),
         42);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     const std::vector<std::size_t> sig_a{0, 0, 0, 0, 0};
     const std::vector<std::size_t> sig_b{1, 0, 0, 0, 0};
     const auto& opt_a = eval.bestFor(sig_a, 1.0, 0.0);
@@ -69,7 +69,7 @@ TEST(CalibrationTest, ThroughputAndFairnessOptimaConflict)
         workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
                           "freqmine", "streamcluster"}),
         42);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     const std::vector<std::size_t> sig(5, 0);
     const auto& t_opt = eval.bestFor(sig, 1.0, 0.0);
     const auto& f_opt = eval.bestFor(sig, 0.0, 1.0);
@@ -98,7 +98,7 @@ TEST(CalibrationTest, EqualPartitionIsNotOptimal)
         platform, workloads::mixOf({"canneal", "swaptions", "vips",
                                     "streamcluster", "freqmine"}),
         42);
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     const std::vector<std::size_t> sig(5, 0);
     const auto& best = eval.bestFor(sig, 0.5, 0.5);
     const auto [t, f] = eval.metricsFor(

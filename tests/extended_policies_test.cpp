@@ -4,6 +4,8 @@
  * resource-restricted adapter.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "satori/common/logging.hpp"
@@ -113,8 +115,10 @@ TEST(RestrictedPolicyTest, OnlyManagedRowsDeviateFromEqual)
         const auto c = policy.decide(monitor.observe(0.1));
         ASSERT_TRUE(c.isValidFor(server.platform(), 3));
         // Cores and bandwidth must stay equal.
-        EXPECT_EQ(c.resourceRow(0), equal.resourceRow(0));
-        EXPECT_EQ(c.resourceRow(2), equal.resourceRow(2));
+        EXPECT_TRUE(
+            std::ranges::equal(c.resourceRow(0), equal.resourceRow(0)));
+        EXPECT_TRUE(
+            std::ranges::equal(c.resourceRow(2), equal.resourceRow(2)));
         server.setConfiguration(c);
     }
 }

@@ -456,6 +456,32 @@ TEST(FaultResilienceTest, DegradedModeEngagesAndRecovers)
     EXPECT_FALSE(satori->degraded()); // recovered in the clean tail
 }
 
+TEST(FaultResilienceTest, VanillaSatoriSurvivesNaNTelemetry)
+{
+    // The paper's controller has no telemetry guard, so NaN IPS reach
+    // the goal recorder and the GP's grid refit unfiltered. It must
+    // still finish: on every job from the start, and on one job after
+    // the model has learned from clean samples.
+    const auto mix =
+        workloads::allMixes(workloads::parsecSuite(), 5).front();
+    for (const char* plan : {"nan 0..600\n", "nan 100..600 job=0\n"}) {
+        sim::SimulatedServer server =
+            harness::makeServer(PlatformSpec::paperTestbed(), mix);
+        core::SatoriOptions options;
+        options.resilience = core::ResilienceOptions::vanilla();
+        auto policy = harness::makePolicy("SATORI", server, options);
+
+        FaultInjector injector(FaultPlan::parse(plan), 0xFA17);
+        harness::ExperimentOptions opt;
+        opt.duration = 30.0;
+        opt.faults = &injector;
+        const harness::ExperimentRunner runner(opt);
+        EXPECT_NO_THROW((void)runner.run(server, *policy, mix.label))
+            << plan;
+        EXPECT_GT(injector.stats().samples_nan, 0u) << plan;
+    }
+}
+
 TEST(FaultResilienceTest, ActuationRetryReconverges)
 {
     auto mix = testMix();

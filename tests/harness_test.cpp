@@ -13,7 +13,7 @@
 
 #include "satori/common/logging.hpp"
 #include "satori/harness/experiment.hpp"
-#include "satori/harness/parallel.hpp"
+#include "satori/common/parallel.hpp"
 #include "satori/harness/report.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/policies/equal_policy.hpp"
@@ -135,13 +135,13 @@ TEST(PolicyFactoryTest, OraclesMaximizeTheObjectiveMetrics)
     const sim::IntervalObservation obs = monitor.observe();
     const std::vector<std::size_t> sig = server.phaseSignature();
 
-    OfflineEvalOptions metrics;
+    sim::OfflineEvalOptions metrics;
     metrics.tmetric = ThroughputMetric::GeomeanSpeedup;
     metrics.fmetric = FairnessMetric::OneMinusCov;
     const Configuration expected =
-        OfflineEvaluator(server, metrics).bestFor(sig, 0.5, 0.5).config;
+        sim::OfflineEvaluator(server, metrics).bestFor(sig, 0.5, 0.5).config;
     ASSERT_FALSE(expected ==
-                 OfflineEvaluator(server).bestFor(sig, 0.5, 0.5).config);
+                 sim::OfflineEvaluator(server).bestFor(sig, 0.5, 0.5).config);
 
     core::SatoriOptions sopt;
     sopt.objective = core::ObjectiveSpec(ThroughputMetric::GeomeanSpeedup,
@@ -204,7 +204,7 @@ TEST(ComparePoliciesTest, AggregateHelpers)
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce)
 {
     for (const std::size_t workers : {1u, 2u, 4u}) {
-        ThreadPool pool(workers);
+        common::ThreadPool pool(workers);
         EXPECT_EQ(pool.workerCount(), workers);
         const std::size_t count = 100;
         std::vector<int> hits(count, 0);
@@ -223,7 +223,7 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce)
 
 TEST(ThreadPoolTest, FirstExceptionPropagatesToCaller)
 {
-    ThreadPool pool(3);
+    common::ThreadPool pool(3);
     EXPECT_THROW(
         pool.forEachIndex(50,
                           [](std::size_t i) {
@@ -240,9 +240,9 @@ TEST(ThreadPoolTest, FirstExceptionPropagatesToCaller)
 TEST(ParallelForTest, SerialAndPooledAgree)
 {
     std::vector<std::size_t> serial(64, 0);
-    parallelFor(64, 1, [&](std::size_t i) { serial[i] = i * i; });
+    common::parallelFor(64, 1, [&](std::size_t i) { serial[i] = i * i; });
     std::vector<std::size_t> pooled(64, 0);
-    parallelFor(64, 4, [&](std::size_t i) { pooled[i] = i * i; });
+    common::parallelFor(64, 4, [&](std::size_t i) { pooled[i] = i * i; });
     EXPECT_EQ(serial, pooled);
 }
 
@@ -260,7 +260,7 @@ TEST(ParallelForTest, ParallelComparisonsBitIdenticalToSerial)
         workloads::mixOf({"freqmine", "streamcluster", "swaptions"})};
     auto compare = [&](std::size_t threads) {
         std::vector<MixComparison> out(mixes.size());
-        parallelFor(mixes.size(), threads, [&](std::size_t i) {
+        common::parallelFor(mixes.size(), threads, [&](std::size_t i) {
             out[i] = comparePolicies(smallPlatform(), mixes[i],
                                      {"SATORI"}, opt, 5 + i);
         });

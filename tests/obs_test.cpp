@@ -553,7 +553,7 @@ TEST(ObservabilityTest, OracleSearchesAreSpannedAndCounted)
 
     // 3 x 3 = 9 configurations; the memo hit is neither spanned nor
     // counted.
-    harness::OfflineEvaluator exhaustive(server);
+    sim::OfflineEvaluator exhaustive(server);
     ASSERT_EQ(exhaustive.space().size(), 9u);
     (void)exhaustive.bestFor(sig, 0.5, 0.5);
     (void)exhaustive.bestFor(sig, 0.5, 0.5);
@@ -561,9 +561,9 @@ TEST(ObservabilityTest, OracleSearchesAreSpannedAndCounted)
     EXPECT_EQ(o.lib().oracle_configs_scored.value(), 9u);
 
     // max_evals = 4 gives stride ceil(9 / 4) = 3: indices 0, 3 and 6.
-    harness::OfflineEvalOptions strided_opt;
+    sim::OfflineEvalOptions strided_opt;
     strided_opt.max_evals = 4;
-    harness::OfflineEvaluator strided(server, strided_opt);
+    sim::OfflineEvaluator strided(server, strided_opt);
     (void)strided.bestFor(sig, 0.5, 0.5);
     EXPECT_EQ(o.lib().oracle_searches.value(), 2u);
     EXPECT_EQ(o.lib().oracle_configs_scored.value(), 12u);

@@ -21,7 +21,7 @@
 #include "satori/workloads/suites.hpp"
 
 namespace satori {
-namespace harness {
+namespace sim {
 namespace {
 
 PlatformSpec
@@ -36,7 +36,7 @@ tinyPlatform()
 sim::SimulatedServer
 makeTinyServer()
 {
-    return makeServer(tinyPlatform(),
+    return harness::makeServer(tinyPlatform(),
                       workloads::mixOf({"canneal", "swaptions"}), 42);
 }
 
@@ -113,7 +113,7 @@ TEST(OfflineEvalTest, MemoizationAvoidsRepeatSearches)
 TEST(OfflineEvalTest, StridedSearchFlagsNonExhaustive)
 {
     auto server = makeTinyServer();
-    OfflineEvaluator::Options opt;
+    OfflineEvalOptions opt;
     opt.max_evals = 3; // force striding on the tiny space
     OfflineEvaluator eval(server, opt);
     const std::vector<std::size_t> sig(server.numJobs(), 0);
@@ -138,7 +138,7 @@ TEST(OfflineEvalTest, PaperScaleSearchCompletesQuickly)
 {
     // 5 jobs on the paper platform: ~3.3M configurations. The tabled
     // search must stay well under a second.
-    auto server = makeServer(
+    auto server = harness::makeServer(
         PlatformSpec::paperTestbed(),
         workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
                           "freqmine", "streamcluster"}),
@@ -153,7 +153,7 @@ TEST(OfflineEvalTest, PaperScaleSearchCompletesQuickly)
 TEST(OfflineEvalTest, ZeroMaxEvalsIsFatal)
 {
     auto server = makeTinyServer();
-    OfflineEvaluator::Options opt;
+    OfflineEvalOptions opt;
     opt.max_evals = 0;
     EXPECT_THROW(OfflineEvaluator(server, opt), FatalError);
 }
@@ -188,14 +188,12 @@ referenceTables(const sim::SimulatedServer& server,
     }
 
     t.ips.assign(num_jobs, std::vector<double>(table_size, 0.0));
-    std::vector<std::vector<int>> alloc(
-        num_res, std::vector<int>(num_jobs, 1));
+    Configuration scratch(num_jobs, std::vector<int>(num_res * num_jobs, 1));
     for (std::size_t j = 0; j < num_jobs; ++j) {
         std::vector<int> units(num_res, 1);
         for (std::size_t flat = 0; flat < table_size; ++flat) {
             for (std::size_t r = 0; r < num_res; ++r)
-                alloc[r][j] = units[r];
-            const Configuration scratch(alloc);
+                scratch.units(r, j) = units[r];
             const auto view = server.allocationView(scratch, j);
             const auto& phase =
                 server.job(j).profile().phases.at(phase_signature[j]);
@@ -211,7 +209,7 @@ referenceTables(const sim::SimulatedServer& server,
             }
         }
         for (std::size_t r = 0; r < num_res; ++r)
-            alloc[r][j] = 1;
+            scratch.units(r, j) = 1;
     }
 
     t.isolation.resize(num_jobs);
@@ -360,7 +358,7 @@ TEST(OfflineEvalTest, EnumeratorMatchesUnrankingReference)
     std::size_t searches = 0;
     for (const auto& mix : workloads::allMixes(workloads::parsecSuite(), 5)) {
         const auto server =
-            makeServer(PlatformSpec::smallTestbed(), mix, 42);
+            harness::makeServer(PlatformSpec::smallTestbed(), mix, 42);
         searches += expectMatchesReference(server, {}, mix.label);
     }
     EXPECT_EQ(searches, 21u * 2u * 3u);
@@ -375,11 +373,11 @@ TEST(OfflineEvalTest, EnumeratorMatchesUnrankingReference)
     OfflineEvalOptions strided;
     strided.max_evals = 100003;
     (void)expectMatchesReference(
-        makeServer(PlatformSpec::paperTestbed(), parsec5, 42), strided,
+        harness::makeServer(PlatformSpec::paperTestbed(), parsec5, 42), strided,
         "paper/stride");
     strided.max_evals = 200000;
     (void)expectMatchesReference(
-        makeServer(PlatformSpec::extendedTestbed(), parsec5, 42), strided,
+        harness::makeServer(PlatformSpec::extendedTestbed(), parsec5, 42), strided,
         "extended/stride");
 
     // The generic-metric branch.
@@ -387,10 +385,10 @@ TEST(OfflineEvalTest, EnumeratorMatchesUnrankingReference)
     generic.tmetric = ThroughputMetric::GeomeanSpeedup;
     generic.fmetric = FairnessMetric::OneMinusCov;
     (void)expectMatchesReference(
-        makeServer(PlatformSpec::smallTestbed(), parsec5, 42), generic,
+        harness::makeServer(PlatformSpec::smallTestbed(), parsec5, 42), generic,
         "small/generic");
 }
 
 } // namespace
-} // namespace harness
+} // namespace sim
 } // namespace satori

@@ -23,7 +23,7 @@
 #include "satori/harness/trace.hpp"
 #include "satori/persist/checkpoint.hpp"
 #include "satori/persist/codec.hpp"
-#include "satori/persist/io.hpp"
+#include "satori/common/io.hpp"
 #include "satori/persist/snapshot.hpp"
 #include "satori/persist/wal.hpp"
 #include "satori/workloads/mixes.hpp"
@@ -76,7 +76,7 @@ TEST(CodecTest, ScalarsAndVectorsRoundTrip)
     w.putSize(12345);
     w.putString("hello \0 world");
     w.putDoubleVec({1.0, -2.5, 1e300});
-    w.putIntVec({-1, 0, 7});
+    w.putIntVec(std::vector<int>{-1, 0, 7});
 
     StateReader r(w.bytes(), "test");
     EXPECT_EQ(r.getU8(), 0xAB);

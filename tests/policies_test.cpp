@@ -5,6 +5,8 @@
  * behaviours.
  */
 
+#include <algorithm>
+
 #include <set>
 
 #include <gtest/gtest.h>
@@ -110,7 +112,8 @@ TEST(DCatPolicyTest, OnlyReallocatesLlcWays)
             if (static_cast<int>(r) == llc)
                 continue;
             // Non-LLC rows stay at the equal partition.
-            EXPECT_EQ(c.resourceRow(r), equal.resourceRow(r));
+            EXPECT_TRUE(std::ranges::equal(c.resourceRow(r),
+                                           equal.resourceRow(r)));
         }
         server.setConfiguration(c);
     }
@@ -150,8 +153,9 @@ TEST(CoPartPolicyTest, OnlyTouchesLlcAndBandwidth)
     for (int i = 0; i < 200; ++i) {
         const auto c = policy.decide(monitor.observe(0.1));
         ASSERT_TRUE(c.isValidFor(server.platform(), 3));
-        EXPECT_EQ(c.resourceRow(static_cast<std::size_t>(cores)),
-                  equal.resourceRow(static_cast<std::size_t>(cores)));
+        const auto core_row = static_cast<std::size_t>(cores);
+        EXPECT_TRUE(std::ranges::equal(c.resourceRow(core_row),
+                                       equal.resourceRow(core_row)));
         server.setConfiguration(c);
     }
 }
@@ -229,7 +233,7 @@ TEST(OraclePolicyTest, KindsAndWeights)
 TEST(OraclePolicyTest, ThroughputOracleBeatsOthersOnThroughput)
 {
     auto server = makeSmallServer();
-    harness::OfflineEvaluator eval(server);
+    sim::OfflineEvaluator eval(server);
     const auto sig = server.phaseSignature();
     const auto& t_opt = eval.bestFor(sig, 1.0, 0.0);
     const auto& f_opt = eval.bestFor(sig, 0.0, 1.0);

@@ -4,7 +4,7 @@
  * rings, retention by count / age / bytes, windowed order statistics
  * against hand-computed goldens on a fake (explicit) clock,
  * delta-encoded counter rates including reset handling, and
- * concurrent record/query through harness::ThreadPool.
+ * concurrent record/query through common::ThreadPool.
  */
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "satori/harness/parallel.hpp"
+#include "satori/common/parallel.hpp"
 #include "satori/obs/stats_history.hpp"
 
 namespace satori {
@@ -297,7 +297,7 @@ TEST(StatsHistoryTest, ConcurrentRecordAndQueryStaysConsistent)
     // Workers 0..1 record disjoint interval ranges; workers 2..3
     // hammer queries. The test asserts no crash/tear and that the
     // retained point count respects the ring capacity afterwards.
-    harness::ThreadPool pool(4);
+    common::ThreadPool pool(4);
     std::atomic<bool> failed{false};
     pool.forEachIndex(4, [&](std::size_t worker) {
         if (worker < 2) {

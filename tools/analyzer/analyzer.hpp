@@ -150,12 +150,11 @@ struct Options
     /**
      * Path substrings where raw std::thread construction or detach is
      * legitimate: the pool implementation itself. Everything else —
-     * tests included — goes through harness::ThreadPool/parallelFor.
+     * tests included — goes through common::ThreadPool/parallelFor.
      */
     std::vector<std::string> raw_thread_allow = {
         // The pool implementation lives in common/ (shared by the bo
-        // engine's batched scoring and the harness); the harness
-        // header is a thin alias kept for source compatibility.
+        // engine's batched scoring and the harness).
         "include/satori/common/parallel",
         "src/common/parallel",
         "include/satori/harness/",

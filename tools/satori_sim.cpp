@@ -14,6 +14,7 @@
  *   satori_sim --list-workloads
  */
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -28,9 +29,9 @@
 #include <vector>
 
 #include "satori/satori.hpp"
+#include "satori/common/io.hpp"
 #include "satori/obs/http_exporter.hpp"
 #include "satori/persist/checkpoint.hpp"
-#include "satori/persist/io.hpp"
 
 using namespace satori;
 
@@ -106,8 +107,9 @@ printUsage()
         "  --fault-plan FILE     load a fault script (see GUIDE.md)\n"
         "  --fault-preset P      built-in plan: escalating\n"
         "  --fault-seed N        injector RNG seed (default 0xFA17)\n"
-        "  --vanilla             disable the SATORI resilience layer\n"
-        "                        (telemetry guard, retry, degraded mode)\n\n"
+        "  --vanilla             disable the resilience layer of a SATORI\n"
+        "                        policy (telemetry guard, retry, degraded\n"
+        "                        mode); other policies exit 2\n\n"
         "platform (default: the paper's 10 cores / 11 ways / 10 MBA):\n"
         "  --cores N --ways N --bw N [--power N]\n\n"
         "output:\n"
@@ -405,20 +407,17 @@ main(int argc, char** argv)
         // Fail on unusable output paths before the experiment runs,
         // not 30 simulated seconds into it.
         if (!args.trace_path.empty())
-            persist::validateOutputFile("--trace", args.trace_path);
+            validateOutputFile("--trace", args.trace_path);
         if (!args.metrics_out.empty())
-            persist::validateOutputFile("--metrics-out",
-                                        args.metrics_out);
+            validateOutputFile("--metrics-out", args.metrics_out);
         if (!args.trace_out.empty())
-            persist::validateOutputFile("--trace-out", args.trace_out);
+            validateOutputFile("--trace-out", args.trace_out);
         if (!args.audit_out.empty())
-            persist::validateOutputFile("--audit-out", args.audit_out);
+            validateOutputFile("--audit-out", args.audit_out);
         if (!args.history_out.empty())
-            persist::validateOutputFile("--history-out",
-                                        args.history_out);
+            validateOutputFile("--history-out", args.history_out);
         if (!args.checkpoint_dir.empty())
-            persist::validateOutputDir("--checkpoint-dir",
-                                       args.checkpoint_dir);
+            validateOutputDir("--checkpoint-dir", args.checkpoint_dir);
 
         // --- Resolve the mix ---------------------------------------
         std::vector<workloads::WorkloadProfile> custom;
@@ -475,10 +474,18 @@ main(int argc, char** argv)
 
         sim::SimulatedServer server = harness::makeServer(
             platform, mix, args.seed, args.noise);
-        std::string policy_name = args.policy;
-        if (args.vanilla && policy_name == "SATORI")
-            policy_name = "SATORI-vanilla";
-        auto policy = harness::makePolicy(policy_name, server);
+        core::SatoriOptions satori_options;
+        if (args.vanilla) {
+            const auto variants = harness::satoriVariantNames();
+            if (std::find(variants.begin(), variants.end(), args.policy) ==
+                variants.end()) {
+                std::fprintf(stderr, "--vanilla requires a SATORI policy\n");
+                return 2;
+            }
+            satori_options.resilience = core::ResilienceOptions::vanilla();
+        }
+        auto policy =
+            harness::makePolicy(args.policy, server, satori_options);
 
         harness::ExperimentOptions opt;
         opt.duration = args.duration;
@@ -594,7 +601,11 @@ main(int argc, char** argv)
             // stream - but not the duration, so a resumed run may
             // extend a shorter one.
             std::ostringstream fp;
-            fp << "mix=" << mix.label << " policy=" << policy_name
+            // A vanilla SATORI run keeps the policy label its
+            // checkpoints have always carried, so they still resume.
+            const bool vanilla_label = args.vanilla && args.policy == "SATORI";
+            fp << "mix=" << mix.label << " policy=" << args.policy
+               << (vanilla_label ? "-vanilla" : "")
                << " seed=" << args.seed << " noise=" << args.noise
                << " cores=" << args.cores << " ways=" << args.ways
                << " bw=" << args.bw << " power=" << args.power
@@ -695,10 +706,10 @@ main(int argc, char** argv)
         if (!args.metrics_out.empty()) {
             const obs::MetricsSnapshot snap =
                 obs::observability().metrics().snapshot();
-            persist::atomicWriteFile(args.metrics_out,
-                                     args.metrics_format == "jsonl"
-                                         ? snap.jsonLines()
-                                         : snap.prometheusText());
+            atomicWriteFile(args.metrics_out,
+                            args.metrics_format == "jsonl"
+                                ? snap.jsonLines()
+                                : snap.prometheusText());
             std::printf("\nmetrics: %zu instruments -> %s\n",
                         snap.counters.size() + snap.gauges.size() +
                             snap.histograms.size(),
@@ -724,7 +735,7 @@ main(int argc, char** argv)
         }
         if (!args.history_out.empty()) {
             obs::StatsHistory& history = obs::observability().history();
-            persist::atomicWriteFile(args.history_out, history.toJson());
+            atomicWriteFile(args.history_out, history.toJson());
             std::printf(
                 "\nhistory: %zu snapshots (%llu evicted) -> %s\n",
                 history.snapshots(),
@@ -761,7 +772,7 @@ main(int argc, char** argv)
                 obs::observability().audit().writeJsonl(args.audit_out);
             if (!args.history_out.empty() &&
                 obs::observability().history().snapshots() > 0)
-                persist::atomicWriteFile(
+                atomicWriteFile(
                     args.history_out,
                     obs::observability().history().toJson());
         } catch (...) {
