@@ -1,6 +1,7 @@
 /**
  * @file
- * Portable vectorized kernels for the linear-algebra hot loops.
+ * Portable vectorized kernels for the linear-algebra hot loops and
+ * the Oracle's scoring loop.
  *
  * Every kernel here is *lane-parallel*: element i of the output
  * depends only on element i of the inputs, with the identical
@@ -77,6 +78,21 @@ void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
  * batched posterior-variance norm accumulation. */
 void accumSquare(double* acc, const double* xs, std::size_t n);
 
+/**
+ * The Oracle's default score of n configurations at once: lane i is
+ * one configuration, ips_rows[j][i] and spd_rows[j][i] its job j's
+ * IPS and speedup (SoA layout, one pointer per job). Per lane, in
+ * job order: sum_ips = sum of the IPS; m = (sum of the speedups) /
+ * jobs; var = (sum of (s - m)^2) / jobs; cov2 = m > 0 ? var / (m*m)
+ * : 0; fair[i] = 1 / (1 + cov2) (Jain's index); x = sum_ips /
+ * iso_sum / scale; thr[i] = (1 < x) ? 1 : x, so a NaN passes through
+ * the clamp. @p scale is colocationThroughputScale(jobs).
+ */
+void sumIpsJainInto(double* thr, double* fair,
+                    const double* const* ips_rows,
+                    const double* const* spd_rows, std::size_t jobs,
+                    std::size_t n, double iso_sum, double scale);
+
 /** Scalar reference implementations - the behaviour contract the
  * vector path must match bit-for-bit (pinned by simd_test). */
 namespace ref {
@@ -91,6 +107,10 @@ void sqDistInto(double* out, const double* const* xs, const double* q,
                 std::size_t dims, std::size_t n);
 void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
 void accumSquare(double* acc, const double* xs, std::size_t n);
+void sumIpsJainInto(double* thr, double* fair,
+                    const double* const* ips_rows,
+                    const double* const* spd_rows, std::size_t jobs,
+                    std::size_t n, double iso_sum, double scale);
 
 } // namespace ref
 

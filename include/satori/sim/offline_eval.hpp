@@ -5,17 +5,21 @@
  * the simulator's true objective is computable, the Oracle here is
  * exact (the paper needed hours of offline search per mix).
  *
- * A search builds per-job IPS lookup tables over per-resource unit
- * counts, lists each resource's compositions once as table offsets,
- * and walks the configuration space as an odometer over those lists
- * (resource 0 most significant, the ConfigurationSpace::at() order),
- * re-summing the outer resources' offsets only when an outer digit
- * carries. Each configuration then costs one table lookup per job plus
- * the metric arithmetic, with no unranking or allocation; only the
- * argmax is materialized. A cold 3.3M-configuration search takes
- * about 0.14 s (bench_overhead's BM_OracleSearchCold). Results are
- * memoized per phase signature and weights since the model is
- * deterministic given the phases.
+ * A search builds per-job IPS and speedup (IPS / isolation IPS)
+ * lookup tables over per-resource unit counts, lists each resource's
+ * compositions once as table offsets, and walks the configuration
+ * space as an odometer over those lists (resource 0 most significant,
+ * the ConfigurationSpace::at() order) one row at a time: a row is
+ * every visited configuration that shares the outer resources'
+ * compositions. Per-job row tables over (outer offset, last
+ * resource's composition) make an exhaustive row one contiguous slice
+ * per job (a strided row is gathered into SoA buffers); one
+ * lane-parallel linalg::simd call scores it under the default metrics,
+ * and an argmax runs over it in index order. Nothing is unranked or
+ * allocated per configuration, and only the argmax is materialized.
+ * A cold 3.3M-configuration search takes about 26 ms (bench_overhead's
+ * BM_OracleSearchCold). Results are memoized per phase signature and
+ * exact weights since the model is deterministic given the phases.
  */
 
 #ifndef SATORI_SIM_OFFLINE_EVAL_HPP
@@ -93,7 +97,7 @@ class OfflineEvaluator
     [[nodiscard]] std::size_t searchesPerformed() const { return searches_; }
 
   private:
-    /** Per-job IPS lookup tables for one phase signature. */
+    /** Per-job IPS and speedup lookup tables for one phase signature. */
     struct IpsTables;
 
     [[nodiscard]] IpsTables buildTables(
@@ -103,8 +107,9 @@ class OfflineEvaluator
     OfflineEvalOptions options_;
     ConfigurationSpace space_;
 
+    /** Phase signature and the weights' exact bit patterns. */
     using MemoKey = std::pair<std::vector<std::size_t>,
-                              std::pair<std::int64_t, std::int64_t>>;
+                              std::pair<std::uint64_t, std::uint64_t>>;
     std::map<MemoKey, OracleResult> memo_;
     std::size_t searches_ = 0;
 };

@@ -88,6 +88,33 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         acc[i] += xs[i] * xs[i];
 }
 
+void
+sumIpsJainInto(double* thr, double* fair, const double* const* ips_rows,
+               const double* const* spd_rows, std::size_t jobs,
+               std::size_t n, double iso_sum, double scale)
+{
+    const double count = static_cast<double>(jobs);
+    for (std::size_t i = 0; i < n; ++i) {
+        double sum_ips = 0.0;
+        double m = 0.0;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            sum_ips += ips_rows[j][i];
+            m += spd_rows[j][i];
+        }
+        m /= count;
+        double ss = 0.0;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const double d = spd_rows[j][i] - m;
+            ss += d * d;
+        }
+        const double var = ss / count;
+        const double cov2 = m > 0.0 ? var / (m * m) : 0.0;
+        fair[i] = 1.0 / (1.0 + cov2);
+        const double x = sum_ips / iso_sum / scale;
+        thr[i] = (1.0 < x) ? 1.0 : x;
+    }
+}
+
 } // namespace ref
 
 namespace {
@@ -181,6 +208,19 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         ref::accumSquare(acc, xs, n);
 }
 
+void
+sumIpsJainInto(double* thr, double* fair, const double* const* ips_rows,
+               const double* const* spd_rows, std::size_t jobs,
+               std::size_t n, double iso_sum, double scale)
+{
+    if (kVectorized)
+        avx2::sumIpsJainInto(thr, fair, ips_rows, spd_rows, jobs, n,
+                             iso_sum, scale);
+    else
+        ref::sumIpsJainInto(thr, fair, ips_rows, spd_rows, jobs, n,
+                            iso_sum, scale);
+}
+
 #else // !SATORI_SIMD_AVX2
 
 void
@@ -226,6 +266,15 @@ void
 accumSquare(double* acc, const double* xs, std::size_t n)
 {
     ref::accumSquare(acc, xs, n);
+}
+
+void
+sumIpsJainInto(double* thr, double* fair, const double* const* ips_rows,
+               const double* const* spd_rows, std::size_t jobs,
+               std::size_t n, double iso_sum, double scale)
+{
+    ref::sumIpsJainInto(thr, fair, ips_rows, spd_rows, jobs, n, iso_sum,
+                        scale);
 }
 
 #endif // SATORI_SIMD_AVX2

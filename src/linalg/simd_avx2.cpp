@@ -182,6 +182,62 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         acc[i] += xs[i] * xs[i];
 }
 
+void
+sumIpsJainInto(double* thr, double* fair, const double* const* ips_rows,
+               const double* const* spd_rows, std::size_t jobs,
+               std::size_t n, double iso_sum, double scale)
+{
+    // Per lane the scalar sequence; both branches of each select are
+    // computed (a discarded var / 0 lane is harmless), and the n % 4
+    // tail stays in this TU so no call leaves AVX code with dirty
+    // upper register halves.
+    const double count = static_cast<double>(jobs);
+    const v4d zero = broadcast(0.0);
+    const v4d one = broadcast(1.0);
+    const v4d countv = broadcast(count);
+    const v4d isov = broadcast(iso_sum);
+    const v4d scalev = broadcast(scale);
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        v4d sum_ips = zero;
+        v4d m = zero;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            sum_ips = sum_ips + load4(ips_rows[j] + i);
+            m = m + load4(spd_rows[j] + i);
+        }
+        m = m / countv;
+        v4d ss = zero;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const v4d d = load4(spd_rows[j] + i) - m;
+            ss = ss + d * d;
+        }
+        const v4d var = ss / countv;
+        const v4d cov2 = (m > zero) ? var / (m * m) : zero;
+        store4(fair + i, one / (one + cov2));
+        const v4d x = sum_ips / isov / scalev;
+        store4(thr + i, (one < x) ? one : x);
+    }
+    for (; i < n; ++i) {
+        double sum_ips = 0.0;
+        double m = 0.0;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            sum_ips += ips_rows[j][i];
+            m += spd_rows[j][i];
+        }
+        m /= count;
+        double ss = 0.0;
+        for (std::size_t j = 0; j < jobs; ++j) {
+            const double d = spd_rows[j][i] - m;
+            ss += d * d;
+        }
+        const double var = ss / count;
+        const double cov2 = m > 0.0 ? var / (m * m) : 0.0;
+        fair[i] = 1.0 / (1.0 + cov2);
+        const double x = sum_ips / iso_sum / scale;
+        thr[i] = (1.0 < x) ? 1.0 : x;
+    }
+}
+
 } // namespace avx2
 } // namespace simd
 } // namespace linalg

@@ -31,6 +31,10 @@ void sqDistInto(double* out, const double* const* xs, const double* q,
                 std::size_t dims, std::size_t n);
 void fmaAccum(double* acc, const double* xs, double a, std::size_t n);
 void accumSquare(double* acc, const double* xs, std::size_t n);
+void sumIpsJainInto(double* thr, double* fair,
+                    const double* const* ips_rows,
+                    const double* const* spd_rows, std::size_t jobs,
+                    std::size_t n, double iso_sum, double scale);
 
 } // namespace avx2
 #endif // SATORI_SIMD_AVX2

@@ -1,9 +1,10 @@
 #include "satori/sim/offline_eval.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "satori/common/logging.hpp"
+#include "satori/linalg/simd.hpp"
 #include "satori/obs/obs.hpp"
 
 namespace satori {
@@ -13,6 +14,8 @@ struct OfflineEvaluator::IpsTables
 {
     /** ips[j][flat unit index] with flat = sum_r (u_r - 1) * stride_r. */
     std::vector<std::vector<double>> ips;
+    /** spd[j][flat] = ips[j][flat] / isolation[j], job j's speedup. */
+    std::vector<std::vector<double>> spd;
     std::vector<std::size_t> strides; ///< Per-resource flat strides.
     std::vector<Ips> isolation;       ///< Isolation IPS at this signature.
     double isolation_sum = 0.0;
@@ -85,6 +88,11 @@ OfflineEvaluator::buildTables(
             server_.isolationIpsAt(j, phase_signature[j]);
         t.isolation_sum += t.isolation[j];
     }
+    t.spd = t.ips;
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+        for (double& s : t.spd[j])
+            s /= t.isolation[j];
+    }
     return t;
 }
 
@@ -109,8 +117,8 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
                           double w_t, double w_f)
 {
     const MemoKey key{phase_signature,
-                      {static_cast<std::int64_t>(std::llround(w_t * 1e6)),
-                       static_cast<std::int64_t>(std::llround(w_f * 1e6))}};
+                      {std::bit_cast<std::uint64_t>(w_t),
+                       std::bit_cast<std::uint64_t>(w_f)}};
     const auto hit = memo_.find(key);
     if (hit != memo_.end())
         return hit->second;
@@ -153,10 +161,36 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
         }
     }
 
-    // Odometer over the composition indices. `outer` holds each job's
-    // summed offsets over every resource but the last (fastest) one
-    // and is recomputed only when an outer digit moves.
+    // Row tables: job j's IPS and speedup over the last resource's
+    // compositions, one row per sum `o` of the outer resources'
+    // offsets (o < stride_last): row_ips[j][o * row_len + c] =
+    // ips[j][o + offsets[last][c * num_jobs + j]]. A row of the scan
+    // below is then one slice of each. On the paper testbed with 5
+    // jobs that is 42 x 126 entries per job and table.
     const std::size_t last = num_res - 1;
+    const std::size_t row_len = radix[last];
+    const std::size_t outer_count = tables.strides[last];
+    std::vector<std::vector<double>> row_ips(
+        num_jobs, std::vector<double>(outer_count * row_len));
+    std::vector<std::vector<double>> row_spd(
+        num_jobs, std::vector<double>(outer_count * row_len));
+    for (std::size_t j = 0; j < num_jobs; ++j) {
+        for (std::size_t o = 0; o < outer_count; ++o) {
+            for (std::size_t c = 0; c < row_len; ++c) {
+                const std::size_t flat =
+                    o + offsets[last][c * num_jobs + j];
+                row_ips[j][o * row_len + c] = tables.ips[j][flat];
+                row_spd[j][o * row_len + c] = tables.spd[j][flat];
+            }
+        }
+    }
+
+    // Odometer over the composition indices, one row at a time: a row
+    // is every visited configuration that shares the outer digits, the
+    // last digit running from digit[last] to radix[last] by `stride`.
+    // `outer` holds each job's summed offsets over every resource but
+    // the last and is recomputed when the row ends and the outer
+    // digits carry.
     std::vector<std::uint64_t> digit(num_res, 0);
     std::vector<std::size_t> outer(num_jobs);
     const auto refresh_outer = [&] {
@@ -177,63 +211,78 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
     const bool fast_metrics =
         options_.tmetric == ThroughputMetric::SumIps &&
         options_.fmetric == FairnessMetric::JainIndex;
+    const double scale = colocationThroughputScale(num_jobs);
 
-    // Raw table pointers: the inner loop is ~5% faster than indexing
-    // through tables.ips on every lookup.
-    std::vector<const double*> ips_table(num_jobs);
-    for (std::size_t j = 0; j < num_jobs; ++j)
-        ips_table[j] = tables.ips[j].data();
-    std::vector<double> spd(num_jobs);
+    // A row's per-job IPS and speedups (SoA, one pointer per job). An
+    // exhaustive row is scored in place in the row tables; a strided
+    // one is gathered into job j's [j * row_cap, (j + 1) * row_cap)
+    // of the buffers first. A row starting at digit 0 is the longest.
+    const std::size_t row_cap = (row_len + stride - 1) / stride;
+    std::vector<double> ips_buf(num_jobs * row_cap);
+    std::vector<double> spd_buf(num_jobs * row_cap);
+    std::vector<const double*> ips_rows(num_jobs);
+    std::vector<const double*> spd_rows(num_jobs);
+    std::vector<double> thr(row_cap);
+    std::vector<double> fair(row_cap);
     std::vector<Ips> ips_vec(num_jobs);
-    for (std::uint64_t idx = 0; idx < total; idx += stride) {
-        const std::size_t* inner = &offsets[last][digit[last] * num_jobs];
-        double sum_ips = 0.0;
+    std::vector<double> spd_vec(num_jobs);
+
+    for (std::uint64_t row_idx = 0; row_idx < total;) {
+        const std::uint64_t first = digit[last];
+        const std::size_t n = (row_len - first + stride - 1) / stride;
         for (std::size_t j = 0; j < num_jobs; ++j) {
-            const double ips = ips_table[j][outer[j] + inner[j]];
-            ips_vec[j] = ips;
-            sum_ips += ips;
-            spd[j] = ips / tables.isolation[j];
-        }
-        double thr, fair;
-        if (fast_metrics) {
-            // Inlined sum-IPS throughput + Jain index for speed.
-            double m = 0.0;
-            for (double s : spd)
-                m += s;
-            m /= static_cast<double>(num_jobs);
-            double ss = 0.0;
-            for (double s : spd)
-                ss += (s - m) * (s - m);
-            const double var = ss / static_cast<double>(num_jobs);
-            const double cov2 = m > 0.0 ? var / (m * m) : 0.0;
-            fair = 1.0 / (1.0 + cov2);
-            thr = std::min(sum_ips / tables.isolation_sum /
-                               colocationThroughputScale(num_jobs),
-                           1.0);
-        } else {
-            thr = normalizedThroughput(options_.tmetric, ips_vec,
-                                       tables.isolation);
-            fair = normalizedFairness(options_.fmetric, spd);
-        }
-
-        const double objective = w_t * thr + w_f * fair;
-        if (objective > best.objective) {
-            best.objective = objective;
-            best.throughput = thr;
-            best.fairness = fair;
-            best_idx = idx;
-        }
-
-        // Advance by `stride`, carrying into the outer digits.
-        digit[last] += stride;
-        if (digit[last] >= radix[last]) {
-            for (std::size_t r = last; r > 0 && digit[r] >= radix[r]; --r) {
-                digit[r - 1] += digit[r] / radix[r];
-                digit[r] %= radix[r];
+            const std::size_t at = outer[j] * row_len + first;
+            const double* ips_src = &row_ips[j][at];
+            const double* spd_src = &row_spd[j][at];
+            if (stride > 1) {
+                double* ips_out = &ips_buf[j * row_cap];
+                double* spd_out = &spd_buf[j * row_cap];
+                for (std::size_t k = 0; k < n; ++k) {
+                    ips_out[k] = ips_src[k * stride];
+                    spd_out[k] = spd_src[k * stride];
+                }
+                ips_src = ips_out;
+                spd_src = spd_out;
             }
-            if (digit[0] < radix[0])
-                refresh_outer();
+            ips_rows[j] = ips_src;
+            spd_rows[j] = spd_src;
         }
+        if (fast_metrics) {
+            linalg::simd::sumIpsJainInto(thr.data(), fair.data(),
+                                         ips_rows.data(), spd_rows.data(),
+                                         num_jobs, n, tables.isolation_sum,
+                                         scale);
+        } else {
+            for (std::size_t k = 0; k < n; ++k) {
+                for (std::size_t j = 0; j < num_jobs; ++j) {
+                    ips_vec[j] = ips_rows[j][k];
+                    spd_vec[j] = spd_rows[j][k];
+                }
+                thr[k] = normalizedThroughput(options_.tmetric, ips_vec,
+                                              tables.isolation);
+                fair[k] = normalizedFairness(options_.fmetric, spd_vec);
+            }
+        }
+
+        for (std::size_t k = 0; k < n; ++k) {
+            const double objective = w_t * thr[k] + w_f * fair[k];
+            if (objective > best.objective) {
+                best.objective = objective;
+                best.throughput = thr[k];
+                best.fairness = fair[k];
+                best_idx = row_idx + k * stride;
+            }
+        }
+
+        // Step past the row and carry into the outer digits.
+        row_idx += n * stride;
+        digit[last] = first + n * stride;
+        for (std::size_t r = last; r > 0 && digit[r] >= radix[r]; --r) {
+            digit[r - 1] += digit[r] / radix[r];
+            digit[r] %= radix[r];
+        }
+        if (digit[0] < radix[0])
+            refresh_outer();
     }
     best.config = space_.at(best_idx);
     SATORI_ASSERT(best.objective >= 0.0);

@@ -322,17 +322,19 @@ const std::pair<double, double> kOracleWeights[] = {
     {1.0, 0.0}, {0.0, 1.0}, {0.5, 0.5}};
 
 /**
- * Compare bestFor against the reference for every phase signature and
- * Oracle weight pair on @p server; returns the number of searches.
+ * Compare bestFor against the reference for every phase signature in
+ * @p sigs and Oracle weight pair on @p server; returns the number of
+ * searches.
  */
 std::size_t
 expectMatchesReference(const sim::SimulatedServer& server,
                        const OfflineEvalOptions& options,
-                       const std::string& label)
+                       const std::string& label,
+                       const std::vector<std::vector<std::size_t>>& sigs)
 {
     OfflineEvaluator eval(server, options);
     std::size_t searches = 0;
-    for (const auto& sig : phaseSignatures(server)) {
+    for (const auto& sig : sigs) {
         for (const auto& [w_t, w_f] : kOracleWeights) {
             const OracleResult& got = eval.bestFor(sig, w_t, w_f);
             const OracleResult want =
@@ -354,39 +356,89 @@ expectMatchesReference(const sim::SimulatedServer& server,
 
 TEST(OfflineEvalTest, EnumeratorMatchesUnrankingReference)
 {
-    // Every 5-job PARSEC mix on the small testbed (35^3 configs each).
+    // Every 5-job PARSEC mix on the small testbed (35^3 configs each;
+    // rows of 35, so every row ends in a 3-lane tail).
     std::size_t searches = 0;
     for (const auto& mix : workloads::allMixes(workloads::parsecSuite(), 5)) {
         const auto server =
             harness::makeServer(PlatformSpec::smallTestbed(), mix, 42);
-        searches += expectMatchesReference(server, {}, mix.label);
+        searches += expectMatchesReference(server, {}, mix.label,
+                                           phaseSignatures(server));
     }
     EXPECT_EQ(searches, 21u * 2u * 3u);
 
     const auto parsec5 =
         workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
                           "freqmine", "streamcluster"});
+    const auto small =
+        harness::makeServer(PlatformSpec::smallTestbed(), parsec5, 42);
+    const auto paper =
+        harness::makeServer(PlatformSpec::paperTestbed(), parsec5, 42);
+
+    // The shipped shape: an exhaustive paper-testbed search (3.3M
+    // configs, rows of 126 with a 2-lane tail) for each Oracle kind.
+    (void)expectMatchesReference(paper, {}, "paper/exhaustive",
+                                 {phaseSignatures(paper).front()});
 
     // Strided searches: the odometer carries by more than one digit
     // step. Paper testbed at stride 34; the 4-resource extended
     // testbed (117M configs) at a stride of several hundred.
     OfflineEvalOptions strided;
     strided.max_evals = 100003;
-    (void)expectMatchesReference(
-        harness::makeServer(PlatformSpec::paperTestbed(), parsec5, 42), strided,
-        "paper/stride");
+    (void)expectMatchesReference(paper, strided, "paper/stride",
+                                 phaseSignatures(paper));
     strided.max_evals = 200000;
-    (void)expectMatchesReference(
-        harness::makeServer(PlatformSpec::extendedTestbed(), parsec5, 42), strided,
-        "extended/stride");
+    const auto extended =
+        harness::makeServer(PlatformSpec::extendedTestbed(), parsec5, 42);
+    (void)expectMatchesReference(extended, strided, "extended/stride",
+                                 phaseSignatures(extended));
 
-    // The generic-metric branch.
+    // Every (throughput, fairness) metric pair, and the strided path
+    // under a generic pair.
+    for (const ThroughputMetric t :
+         {ThroughputMetric::SumIps, ThroughputMetric::GeomeanSpeedup,
+          ThroughputMetric::HarmonicSpeedup}) {
+        for (const FairnessMetric f :
+             {FairnessMetric::JainIndex, FairnessMetric::OneMinusCov}) {
+            OfflineEvalOptions metrics;
+            metrics.tmetric = t;
+            metrics.fmetric = f;
+            const std::string label =
+                "small/t" + std::to_string(static_cast<int>(t)) + "/f" +
+                std::to_string(static_cast<int>(f));
+            (void)expectMatchesReference(small, metrics, label,
+                                         phaseSignatures(small));
+        }
+    }
     OfflineEvalOptions generic;
-    generic.tmetric = ThroughputMetric::GeomeanSpeedup;
+    generic.tmetric = ThroughputMetric::HarmonicSpeedup;
     generic.fmetric = FairnessMetric::OneMinusCov;
-    (void)expectMatchesReference(
-        harness::makeServer(PlatformSpec::smallTestbed(), parsec5, 42), generic,
-        "small/generic");
+    generic.max_evals = 100003;
+    (void)expectMatchesReference(paper, generic, "paper/stride/generic",
+                                 phaseSignatures(paper));
+}
+
+TEST(OfflineEvalTest, MemoKeepsWeightsApartBelowAMillionth)
+{
+    // (0.5 + 4e-7, 0.5 - 4e-7) rounds to the same millionths as
+    // (0.5, 0.5) but is a different objective: it must search again
+    // and report its own weighted objective, bit for bit.
+    const auto server = harness::makeServer(
+        PlatformSpec::smallTestbed(),
+        workloads::mixOf({"blackscholes", "canneal", "fluidanimate",
+                          "freqmine", "streamcluster"}),
+        42);
+    OfflineEvaluator eval(server);
+    const std::vector<std::size_t> sig(server.numJobs(), 0);
+    (void)eval.bestFor(sig, 0.5, 0.5);
+    const double w_t = 0.5 + 4e-7;
+    const double w_f = 0.5 - 4e-7;
+    const OracleResult& near = eval.bestFor(sig, w_t, w_f);
+    EXPECT_EQ(eval.searchesPerformed(), 2u);
+    EXPECT_TRUE(bitEqual(near.objective,
+                         w_t * near.throughput + w_f * near.fairness));
+    (void)eval.bestFor(sig, w_t, w_f);
+    EXPECT_EQ(eval.searchesPerformed(), 2u); // exact repeat: memo hit
 }
 
 } // namespace

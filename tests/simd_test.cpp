@@ -8,7 +8,10 @@
  * traces) leans on it.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +43,12 @@ bitEqual(const std::vector<double>& a, const std::vector<double>& b)
     return a.size() == b.size() &&
            (a.empty() ||
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool
+sameBits(double lhs, double rhs)
+{
+    return std::memcmp(&lhs, &rhs, sizeof(double)) == 0;
 }
 
 TEST(SimdKernelTest, SubScaledMatchesReferenceBitwise)
@@ -167,6 +176,71 @@ TEST(SimdKernelTest, AccumSquareMatchesReferenceBitwise)
         ref::accumSquare(a2.data(), xs.data(), n);
         EXPECT_TRUE(bitEqual(a1, a2)) << "n=" << n;
     }
+}
+
+TEST(SimdKernelTest, SumIpsJainIntoMatchesReferenceBitwise)
+{
+    Rng rng(606);
+    const double kInf = std::numeric_limits<double>::infinity();
+    const double kSpecial[] = { std::numeric_limits<double>::quiet_NaN(),
+                                kInf, -kInf, 0.0 };
+    std::size_t clamped = 0;
+    std::size_t zero_mean = 0;
+    std::size_t non_finite = 0;
+    for (std::size_t jobs = 1; jobs <= 7; ++jobs) {
+        const double scale =
+            std::min(1.0, 2.0 / static_cast<double>(jobs) + 0.2);
+        for (const std::size_t n : kSizes) {
+            std::vector<std::vector<double>> ips(jobs);
+            std::vector<std::vector<double>> spd(jobs);
+            std::vector<const double*> ips_rows(jobs);
+            std::vector<const double*> spd_rows(jobs);
+            for (std::size_t j = 0; j < jobs; ++j) {
+                ips[j] = randomVec(rng, n, 1e8, 4e9);
+                spd[j] = randomVec(rng, n, 0.05, 1.2);
+            }
+            // Every 5th lane has all speedups 0 (mean 0); every 7th
+            // lane feeds one job a NaN, +inf, -inf or 0.
+            for (std::size_t i = 0; i < n; ++i) {
+                if (i % 5 == 1) {
+                    for (std::size_t j = 0; j < jobs; ++j)
+                        spd[j][i] = 0.0;
+                }
+                if (i % 7 == 3) {
+                    const std::size_t j = i % jobs;
+                    ips[j][i] = kSpecial[(i / 7) % 4];
+                    spd[j][i] = kSpecial[(i / 7 + 1) % 4];
+                }
+            }
+            for (std::size_t j = 0; j < jobs; ++j) {
+                ips_rows[j] = ips[j].data();
+                spd_rows[j] = spd[j].data();
+            }
+            // A small isolation sum pushes throughput above 1, so the
+            // clamp applies on most lanes; a large one on none.
+            for (const double iso_per_job : { 1.5e9, 8e9 }) {
+                const double iso_sum =
+                    iso_per_job * static_cast<double>(jobs);
+                std::vector<double> t1(n), f1(n), t2(n), f2(n);
+                sumIpsJainInto(t1.data(), f1.data(), ips_rows.data(),
+                               spd_rows.data(), jobs, n, iso_sum, scale);
+                ref::sumIpsJainInto(t2.data(), f2.data(), ips_rows.data(),
+                                    spd_rows.data(), jobs, n, iso_sum,
+                                    scale);
+                EXPECT_TRUE(bitEqual(t1, t2)) << jobs << "x" << n;
+                EXPECT_TRUE(bitEqual(f1, f2)) << jobs << "x" << n;
+                for (std::size_t i = 0; i < n; ++i) {
+                    clamped += sameBits(t2[i], 1.0) ? 1 : 0;
+                    zero_mean += i % 5 == 1 && sameBits(f2[i], 1.0) ? 1 : 0;
+                    non_finite += std::isfinite(f2[i]) ? 0 : 1;
+                }
+            }
+        }
+    }
+    // The special lanes were really exercised.
+    EXPECT_GT(clamped, 0u);
+    EXPECT_GT(zero_mean, 0u);
+    EXPECT_GT(non_finite, 0u);
 }
 
 TEST(SimdKernelTest, VectorizedReportsConsistently)
