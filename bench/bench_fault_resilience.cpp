@@ -43,8 +43,7 @@ runOne(const PlatformSpec& platform, const workloads::JobMix& mix,
 {
     sim::SimulatedServer server = harness::makeServer(platform, mix);
     core::SatoriOptions satori_options;
-    if (vanilla)
-        satori_options.resilience = core::ResilienceOptions::vanilla();
+    satori_options.resilience = !vanilla;
     auto policy = harness::makePolicy(policy_name, server, satori_options);
 
     harness::ExperimentOptions opt;
@@ -78,9 +77,8 @@ main(int argc, char** argv)
 
     const PlatformSpec platform = PlatformSpec::paperTestbed();
     const Seconds duration = opt.full ? 60.0 : 30.0;
-    const double dt = 0.1;
     const auto horizon =
-        static_cast<std::size_t>(duration / dt);
+        static_cast<std::size_t>(duration / kDefaultIntervalSeconds);
     const std::uint64_t fault_seed = 0xFA17;
 
     std::vector<workloads::JobMix> mixes;

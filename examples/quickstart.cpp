@@ -40,7 +40,7 @@ main()
 
     std::printf("Co-located mix: %s\n", mix.label.c_str());
     std::printf("Simulated %.0f s at %.1f ms controller intervals\n\n",
-                options.duration, options.dt * 1e3);
+                options.duration, kDefaultIntervalSeconds * 1e3);
 
     TablePrinter table({"policy", "throughput (norm)", "fairness (Jain)",
                         "worst-job speedup"});

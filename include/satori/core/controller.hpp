@@ -37,55 +37,15 @@ enum class GoalMode
 [[nodiscard]] std::string goalModeName(GoalMode mode);
 
 /**
- * Hardening against unreliable telemetry and actuation (none of this
- * exists in the paper; it is what an online deployment needs when its
- * pqos/CAT/MBA substrate misbehaves).
- */
-struct ResilienceOptions
-{
-    /** Telemetry validation/repair in front of every decide(). */
-    TelemetryGuardOptions guard;
-
-    /**
-     * Actuation verification: when the configuration observed in
-     * force (IntervalObservation::config) is not the one last
-     * requested, re-issue the request up to this many consecutive
-     * times before adopting the observed configuration as the
-     * operating point. 0 disables verification.
-     */
-    std::size_t actuation_retry = 3;
-
-    /**
-     * Degraded mode: after this many consecutive unusable telemetry
-     * intervals, fall back to the equal partition and freeze all GP /
-     * weight / goal-record updates until samples turn healthy again.
-     * 0 disables the fallback.
-     */
-    std::size_t degraded_after = 10;
-
-    /** Consecutive healthy intervals that end degraded mode. */
-    std::size_t recover_after = 3;
-
-    /** Everything off: the paper's original (vanilla) controller. */
-    [[nodiscard]] static ResilienceOptions vanilla()
-    {
-        ResilienceOptions r;
-        r.guard.enabled = false;
-        r.actuation_retry = 0;
-        r.degraded_after = 0;
-        return r;
-    }
-};
-
-/**
  * Everything tunable about a SATORI instance. The settle/reactivation
- * constants no caller varies (record window, seed count, incumbent
- * discount, thresholds, burst cap) are fixed in controller.cpp.
+ * and resilience constants no caller varies (record window, seed
+ * count, incumbent discount, thresholds, burst cap, actuation retries,
+ * degraded-mode streaks) are fixed in controller.cpp.
  */
 struct SatoriOptions
 {
     GoalMode mode = GoalMode::Balanced;
-    WeightController::Options weights;
+    WeightOptions weights;
     bo::EngineOptions engine;
     bo::CandidateOptions candidates;
     ObjectiveSpec objective;
@@ -102,8 +62,14 @@ struct SatoriOptions
      */
     std::size_t stall_intervals = 12;
 
-    /** Telemetry/actuation hardening (on by default). */
-    ResilienceOptions resilience;
+    /**
+     * Hardening against unreliable telemetry and actuation (none of
+     * this exists in the paper; it is what an online deployment needs
+     * when its pqos/CAT/MBA substrate misbehaves): the telemetry
+     * guard, actuation retry, and the degraded equal-partition
+     * fallback. false runs the paper's original (vanilla) controller.
+     */
+    bool resilience = true;
 };
 
 /** Per-iteration internals exposed for the paper's analysis figures. */
@@ -190,8 +156,23 @@ class SatoriController final : public PartitioningPolicy
     /** Algorithm 1 proper, fed only guard-approved observations. */
     Configuration decideCore(const IntervalObservation& obs);
 
-    /** Record a sample and advance the weight clock (retry paths). */
-    void recordOnly(const IntervalObservation& obs);
+    /** Goal values of one recorded interval and the weights in force. */
+    struct Recorded
+    {
+        std::vector<double> goals;
+        double w_t;
+        double w_f;
+    };
+
+    /**
+     * Record the interval's goal values and advance the weight clock
+     * (Algorithm 1 step 1, also taken by the actuation-retry path).
+     */
+    Recorded record(const IntervalObservation& obs);
+
+    /** The incumbent configuration under @p weights. */
+    [[nodiscard]] const Configuration& incumbent(
+        const std::vector<double>& weights) const;
 
     /**
      * Emit one decision-audit record (observability only; gated on

@@ -10,12 +10,14 @@
  *
  *   - rejection of non-finite or non-positive IPS values;
  *   - stale-counter detection (a noisy counter never repeats exactly;
- *     freeze_run identical reads in a row mark the stream stale);
- *   - a Hampel outlier gate (deviation from the rolling median beyond
- *     hampel_threshold scaled-MAD sigmas);
+ *     3 identical reads in a row mark the stream stale);
+ *   - a Hampel outlier gate (deviation from the median of the last 11
+ *     accepted values beyond 4 scaled-MAD sigmas);
  *   - last-good-sample substitution, bounded by a staleness budget so
  *     a genuine regime shift is eventually accepted instead of being
  *     filtered forever.
+ *
+ * The thresholds are constants in telemetry_guard.cpp.
  *
  * Size-mismatched observations (wrong job count) are rejected
  * outright. The guard reports each interval as Healthy, Repaired
@@ -42,35 +44,6 @@ class StateReader;
 namespace satori {
 namespace core {
 
-/** Tuning knobs of the telemetry guard. */
-struct TelemetryGuardOptions
-{
-    /** Master switch; off reproduces the unguarded (vanilla) path. */
-    bool enabled = true;
-
-    /**
-     * Consecutive bad samples of one job repaired by last-good
-     * substitution before the guard stops repairing: a finite value
-     * is then accepted as a regime shift, a non-finite one marks the
-     * interval unusable.
-     */
-    std::size_t staleness_budget = 5;
-
-    /**
-     * Hampel gate: reject a sample whose deviation from the rolling
-     * median exceeds this many scaled-MAD sigmas (1.4826 * MAD). 4.0
-     * keeps the false-positive rate per clean gaussian sample below
-     * 1e-4.
-     */
-    double hampel_threshold = 4.0;
-
-    /** Rolling window length backing the median/MAD estimates. */
-    std::size_t hampel_window = 11;
-
-    /** Identical consecutive reads that mark a counter frozen. */
-    std::size_t freeze_run = 3;
-};
-
 /** Per-interval verdict of the guard. */
 enum class SampleHealth
 {
@@ -96,8 +69,16 @@ struct TelemetryGuardStats
 class TelemetryGuard
 {
   public:
-    TelemetryGuard(std::size_t num_jobs,
-                   TelemetryGuardOptions options = {});
+    /**
+     * Consecutive bad samples of one job repaired by last-good
+     * substitution before the guard stops repairing: a finite value
+     * is then accepted as a regime shift, a non-finite one marks the
+     * interval unusable.
+     */
+    static constexpr std::size_t kStalenessBudget = 5;
+
+    /** @param enabled false reproduces the unguarded (vanilla) path. */
+    explicit TelemetryGuard(std::size_t num_jobs, bool enabled = true);
 
     /**
      * Validate @p obs in place. Bad per-job IPS values are replaced
@@ -109,9 +90,6 @@ class TelemetryGuard
 
     /** Cumulative activity counters. */
     [[nodiscard]] const TelemetryGuardStats& stats() const { return stats_; }
-
-    /** The options in force. */
-    [[nodiscard]] const TelemetryGuardOptions& options() const { return options_; }
 
     /** Forget all history (controller reset). */
     void reset();
@@ -139,7 +117,7 @@ class TelemetryGuard
     void accept(JobHistory& h, double value);
 
     std::size_t num_jobs_;
-    TelemetryGuardOptions options_;
+    bool enabled_;
     std::vector<JobHistory> jobs_;
     std::vector<Ips> last_good_iso_;
     /** Config of the previous interval: an allocation change moves

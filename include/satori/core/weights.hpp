@@ -43,16 +43,15 @@ struct WeightComponents
     bool prioritization_boundary = false; ///< T_P elapsed this update.
 };
 
-/** Weight-controller tuning (paper defaults: T_P = 1 s, T_E = 10 s). */
+/**
+ * Weight-controller tuning (paper defaults: T_P = 1 s, T_E = 10 s).
+ * Both periods are counted in kDefaultIntervalSeconds intervals, and
+ * the final weights are bounded to [0.25, 0.75] (Sec. III-C).
+ */
 struct WeightOptions
 {
     Seconds prioritization_period = 1.0;
     Seconds equalization_period = 10.0;
-    Seconds dt = kDefaultIntervalSeconds;
-
-    /** Weight bounds (Sec. III-C: 0.25 and 0.75). */
-    double w_min = 0.25;
-    double w_max = 0.75;
 
     /**
      * Eq. 4 as published prioritizes the goal whose *counterpart*
@@ -70,10 +69,7 @@ struct WeightOptions
 class WeightController
 {
   public:
-    /** Kept for source compatibility with nested-options style. */
-    using Options = WeightOptions;
-
-    explicit WeightController(Options options = {});
+    explicit WeightController(WeightOptions options = {});
 
     /**
      * Advance one controller interval and produce the weights to use
@@ -90,9 +86,6 @@ class WeightController
     /** Mean throughput weight over the *previous* full T_E window. */
     [[nodiscard]] double lastEqualizationMeanWt() const { return last_eq_mean_wt_; }
 
-    /** The options in force. */
-    [[nodiscard]] const Options& options() const { return options_; }
-
     /** Serialize both period states (checkpoint recovery). */
     void saveState(persist::StateWriter& w) const;
 
@@ -100,7 +93,7 @@ class WeightController
     void restoreState(persist::StateReader& r);
 
   private:
-    Options options_;
+    WeightOptions options_;
 
     // Iterations elapsed in the current equalization period.
     std::size_t t_e_iters_ = 0;

@@ -45,7 +45,10 @@ struct MixComparison
  * identical fresh servers (same platform, mix, seed, noise stream)
  * and normalize against the oracle.
  *
- * @param satori_options Applied to SATORI-variant policies.
+ * @param satori_options Applied to SATORI-variant policies; its
+ *        objective's metrics are the ones the Oracle maximizes.
+ * @throws FatalError if @p options scores with a different
+ *         throughput/fairness metric pair than that objective.
  */
 MixComparison comparePolicies(const PlatformSpec& platform,
                               const workloads::JobMix& mix,

@@ -37,9 +37,9 @@ namespace harness {
  *        must outlive the returned policy. Non-oracle policies only
  *        use its platform/job count.
  * @param satori_options Used for the SATORI variants (mode overridden
- *        to match the requested variant; set its resilience to
- *        ResilienceOptions::vanilla() for the paper's controller); the
- *        Oracles maximize with the metrics of its objective.
+ *        to match the requested variant; set its resilience to false
+ *        for the paper's controller); the Oracles maximize with the
+ *        metrics of its objective.
  */
 std::unique_ptr<policies::PartitioningPolicy> makePolicy(
     const std::string& name, const sim::SimulatedServer& server,

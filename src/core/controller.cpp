@@ -60,6 +60,24 @@ constexpr std::size_t kReactivateKeepSamples = 30;
  */
 constexpr std::size_t kBurstMaxIntervals = 20;
 
+/**
+ * Actuation verification: when the configuration observed in force
+ * (IntervalObservation::config) is not the one last requested,
+ * re-issue the request up to this many consecutive times before
+ * adopting the observed configuration as the operating point.
+ */
+constexpr std::size_t kActuationRetry = 3;
+
+/**
+ * Degraded mode: after this many consecutive unusable telemetry
+ * intervals, fall back to the equal partition and freeze all GP /
+ * weight / goal-record updates until samples turn healthy again.
+ */
+constexpr std::size_t kDegradedAfter = 10;
+
+/** Consecutive healthy intervals that end degraded mode. */
+constexpr std::size_t kRecoverAfter = 3;
+
 } // namespace
 
 std::string
@@ -85,7 +103,7 @@ SatoriController::SatoriController(const PlatformSpec& platform,
       candgen_(space_, options_.candidates), engine_(options_.engine),
       recorder_(options_.objective.numGoals(), kWindow),
       weight_controller_(options_.weights), rng_(kSeed),
-      guard_(num_jobs, options_.resilience.guard),
+      guard_(num_jobs, options_.resilience),
       equal_config_(Configuration::equalPartition(platform, num_jobs))
 {
     seeds_ = candgen_.seedConfigurations();
@@ -149,16 +167,30 @@ SatoriController::holdCourse() const
     return equal_config_;
 }
 
-void
-SatoriController::recordOnly(const IntervalObservation& obs)
+SatoriController::Recorded
+SatoriController::record(const IntervalObservation& obs)
 {
-    const std::vector<double> goals = options_.objective.goalValues(obs);
+    SATORI_OBS_SPAN("controller.record");
+    std::vector<double> goals = options_.objective.goalValues(obs);
     recorder_.add(obs.config, goals);
     diagnostics_.throughput = goals[0];
     diagnostics_.fairness = goals[1];
+    // Dynamic weights are tracked in every state so the long-term
+    // 0.5-average property holds across settle/explore transitions.
     const auto [w_t, w_f] = currentWeights(goals[0], goals[1]);
     diagnostics_.objective_value = w_t * goals[0] + w_f * goals[1];
     diagnostics_.num_samples = recorder_.size();
+    return {std::move(goals), w_t, w_f};
+}
+
+const Configuration&
+SatoriController::incumbent(const std::vector<double>& weights) const
+{
+    SATORI_OBS_SPAN("controller.incumbent");
+    return recorder_
+        .sample(recorder_.bestSampleByAveragedObjective(weights,
+                                                        kIncumbentKappa))
+        .config;
 }
 
 Configuration
@@ -173,7 +205,10 @@ SatoriController::decide(const IntervalObservation& raw_obs)
     // the GP. With resilience disabled this is a no-op and the method
     // reduces to Algorithm 1 exactly.
     IntervalObservation obs = raw_obs;
-    const SampleHealth health = guard_.filter(obs);
+    const SampleHealth health = [&] {
+        SATORI_OBS_SPAN("controller.guard");
+        return guard_.filter(obs);
+    }();
     if (health == SampleHealth::Unusable) {
         ++unusable_streak_;
         healthy_streak_ = 0;
@@ -192,7 +227,7 @@ SatoriController::decide(const IntervalObservation& raw_obs)
     // recovers; then re-explore from trimmed records, exactly like a
     // reactivation.
     if (degraded_) {
-        if (healthy_streak_ >= options_.resilience.recover_after) {
+        if (healthy_streak_ >= kRecoverAfter) {
             degraded_ = false;
             settled_ = false;
             stall_counter_ = 0;
@@ -212,8 +247,7 @@ SatoriController::decide(const IntervalObservation& raw_obs)
             emitObsAudit(obs, health, equal_config_, "degraded");
             return equal_config_;
         }
-    } else if (options_.resilience.degraded_after > 0 &&
-               unusable_streak_ >= options_.resilience.degraded_after) {
+    } else if (options_.resilience && unusable_streak_ >= kDegradedAfter) {
         degraded_ = true;
         ++diagnostics_.degraded_entries;
         diagnostics_.degraded = true;
@@ -243,16 +277,15 @@ SatoriController::decide(const IntervalObservation& raw_obs)
     // times before accepting reality. The interval is still recorded
     // (it is a true sample of obs.config) and the weight clock still
     // advances.
-    if (options_.resilience.actuation_retry > 0 && has_expected_) {
+    if (options_.resilience && has_expected_) {
         if (obs.config == expected_config_) {
             actuation_retries_ = 0;
         } else {
             ++diagnostics_.actuation_mismatches;
-            if (actuation_retries_ <
-                options_.resilience.actuation_retry) {
+            if (actuation_retries_ < kActuationRetry) {
                 ++actuation_retries_;
                 ++diagnostics_.actuation_retries;
-                recordOnly(obs);
+                (void)record(obs);
                 SATORI_OBS_METRIC(controller_retries.inc());
                 emitObsAudit(obs, health, expected_config_,
                              "retry-actuation");
@@ -274,14 +307,7 @@ SatoriController::decideCore(const IntervalObservation& obs)
 {
     // (1) Record the outcome of the configuration that just ran,
     // keeping each goal's value separately (Sec. III-B).
-    const std::vector<double> goals = options_.objective.goalValues(obs);
-    recorder_.add(obs.config, goals);
-    diagnostics_.throughput = goals[0];
-    diagnostics_.fairness = goals[1];
-
-    // Dynamic weights are tracked in both states so the long-term
-    // 0.5-average property holds across settle/explore transitions.
-    const auto [w_t, w_f] = currentWeights(goals[0], goals[1]);
+    const auto [goals, w_t, w_f] = record(obs);
     SATORI_OBS_METRIC(controller_w_t.set(w_t));
     SATORI_OBS_METRIC(controller_w_f.set(w_f));
 
@@ -301,10 +327,7 @@ SatoriController::decideCore(const IntervalObservation& obs)
     // balanced objective, signalling a phase or mix change.
     if (settled_) {
         diagnostics_.settled = true;
-        diagnostics_.num_samples = recorder_.size();
         diagnostics_.proxy_change_pct = 0.0;
-        diagnostics_.objective_value =
-            w_t * goals[0] + w_f * goals[1];
         SATORI_OBS_METRIC(
             controller_objective.set(diagnostics_.objective_value));
         const double balanced_now = 0.5 * goals[0] + 0.5 * goals[1];
@@ -316,13 +339,8 @@ SatoriController::decideCore(const IntervalObservation& obs)
         if (options_.mode == GoalMode::Balanced &&
             diagnostics_.weights.prioritization_boundary &&
             !recorder_.empty()) {
-            const std::vector<double> w_now =
-                options_.objective.weightVector(w_t, w_f);
-            const std::size_t best_i =
-                recorder_.bestSampleByAveragedObjective(
-                    w_now, kIncumbentKappa);
             const Configuration& choice =
-                recorder_.sample(best_i).config;
+                incumbent(options_.objective.weightVector(w_t, w_f));
             if (!(choice == settled_config_)) {
                 settled_config_ = choice;
                 settled_ref_objective_ = -1.0; // re-anchor reference
@@ -420,10 +438,8 @@ SatoriController::decideCore(const IntervalObservation& obs)
         // prioritization decides which configuration wins now, while
         // the equalization mechanism guarantees both goals receive
         // equal weight in the long run (Sec. III-C).
-        const std::size_t best_i = recorder_.bestSampleByAveragedObjective(
-            weights, kIncumbentKappa);
         settled_ = true;
-        settled_config_ = recorder_.sample(best_i).config;
+        settled_config_ = incumbent(weights);
         settled_ref_objective_ = -1.0;
         reactivate_strikes_ = 0;
         settled_warmup_ = 0;
@@ -435,18 +451,16 @@ SatoriController::decideCore(const IntervalObservation& obs)
 
     // (4) Maximize the acquisition function over the candidate set
     // built around the incumbent best.
-    const Configuration& incumbent =
-        recorder_
-            .sample(recorder_.bestSampleByAveragedObjective(
-                weights, kIncumbentKappa))
-            .config;
-    std::vector<Configuration> candidates =
-        candgen_.generate(incumbent, rng_);
-    // Fairness-repair candidates: moves of 1-3 units of each resource
-    // from the least- to the most-slowed job, from the incumbent.
-    // Multi-unit moves let a single decision cross working-set cliffs
-    // that one-unit explorers are blind to.
+    const Configuration& best = incumbent(weights);
+    std::vector<Configuration> candidates;
+    std::vector<RealVec> xs;
     {
+        SATORI_OBS_SPAN("controller.candidates");
+        candidates = candgen_.generate(best, rng_);
+        // Fairness-repair candidates: moves of 1-3 units of each
+        // resource from the least- to the most-slowed job, from the
+        // incumbent. Multi-unit moves let a single decision cross
+        // working-set cliffs that one-unit explorers are blind to.
         const std::vector<double> spd =
             speedups(obs.ips, obs.isolation_ips);
         JobIndex worst = 0, best_j = 0;
@@ -459,7 +473,7 @@ SatoriController::decideCore(const IntervalObservation& obs)
         if (worst != best_j) {
             for (std::size_t r = 0; r < space_.platform().numResources();
                  ++r) {
-                Configuration c = incumbent;
+                Configuration c = best;
                 for (int step = 0; step < 4; ++step) {
                     if (!c.transferUnit(r, best_j, worst))
                         break;
@@ -467,11 +481,10 @@ SatoriController::decideCore(const IntervalObservation& obs)
                 }
             }
         }
+        xs.reserve(candidates.size());
+        for (const auto& c : candidates)
+            xs.push_back(c.normalizedVector());
     }
-    std::vector<RealVec> xs;
-    xs.reserve(candidates.size());
-    for (const auto& c : candidates)
-        xs.push_back(c.normalizedVector());
     last_decision_ = candidates[engine_.suggestIndex(xs)];
     last_outcome_ = "explore";
     return last_decision_;
@@ -497,7 +510,7 @@ SatoriController::emitObsAudit(const IntervalObservation& observation,
     rec.policy = goalModeName(options_.mode);
     rec.observed_ips.assign(observation.ips.begin(),
                             observation.ips.end());
-    if (!options_.resilience.guard.enabled) {
+    if (!options_.resilience) {
         rec.guard_verdict = "off";
     } else {
         switch (health) {

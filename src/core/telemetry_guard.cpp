@@ -16,6 +16,19 @@ namespace {
 /** Consistent gaussian sigma estimate from a MAD (the 1.4826 factor). */
 constexpr double kMadToSigma = 1.4826;
 
+/**
+ * Hampel gate: reject a sample whose deviation from the rolling
+ * median exceeds this many scaled-MAD sigmas. 4.0 keeps the
+ * false-positive rate per clean gaussian sample below 1e-4.
+ */
+constexpr double kHampelThreshold = 4.0;
+
+/** Rolling window length backing the median/MAD estimates. */
+constexpr std::size_t kHampelWindow = 11;
+
+/** Identical consecutive reads that mark a counter frozen. */
+constexpr std::size_t kFreezeRun = 3;
+
 double
 medianOf(std::vector<double> v)
 {
@@ -33,9 +46,8 @@ medianOf(std::vector<double> v)
 
 } // namespace
 
-TelemetryGuard::TelemetryGuard(std::size_t num_jobs,
-                               TelemetryGuardOptions options)
-    : num_jobs_(num_jobs), options_(options), jobs_(num_jobs)
+TelemetryGuard::TelemetryGuard(std::size_t num_jobs, bool enabled)
+    : num_jobs_(num_jobs), enabled_(enabled), jobs_(num_jobs)
 {
     SATORI_ASSERT(num_jobs_ >= 1);
 }
@@ -43,11 +55,11 @@ TelemetryGuard::TelemetryGuard(std::size_t num_jobs,
 void
 TelemetryGuard::accept(JobHistory& h, double value)
 {
-    if (h.window.size() < options_.hampel_window) {
+    if (h.window.size() < kHampelWindow) {
         h.window.push_back(value);
     } else {
         h.window[h.next] = value;
-        h.next = (h.next + 1) % options_.hampel_window;
+        h.next = (h.next + 1) % kHampelWindow;
     }
     h.last_good = value;
     h.has_last_good = true;
@@ -57,7 +69,7 @@ TelemetryGuard::accept(JobHistory& h, double value)
 SampleHealth
 TelemetryGuard::filter(IntervalObservation& obs)
 {
-    if (!options_.enabled)
+    if (!enabled_)
         return SampleHealth::Healthy;
     ++stats_.intervals;
 
@@ -112,8 +124,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
         // Exact repeat is the point: freeze detection wants bitwise
         // equality, not closeness. satori-analyzer: allow(num-float-eq)
         if (h.has_last_raw && raw == h.last_raw) {
-            if (++h.freeze_count + 1 >= options_.freeze_run &&
-                options_.freeze_run > 0) {
+            if (++h.freeze_count + 1 >= kFreezeRun) {
                 frozen = true;
                 ++stats_.frozen_detected;
             }
@@ -130,8 +141,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
         // Hampel gate against the rolling window of accepted values.
         bool outlier = false;
         if (finite_ok && !frozen && config_stable &&
-            h.window.size() >= std::max<std::size_t>(
-                                   5, options_.hampel_window / 2)) {
+            h.window.size() >= std::max<std::size_t>(5, kHampelWindow / 2)) {
             const double med = medianOf(h.window);
             std::vector<double> dev;
             dev.reserve(h.window.size());
@@ -142,8 +152,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
             // noise into outliers.
             const double sigma =
                 std::max(kMadToSigma * mad, 1e-3 * std::abs(med));
-            if (std::abs(raw - med) >
-                options_.hampel_threshold * sigma) {
+            if (std::abs(raw - med) > kHampelThreshold * sigma) {
                 outlier = true;
                 ++stats_.outliers_gated;
             }
@@ -157,7 +166,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
         // Bad sample: substitute the last good value while the
         // staleness budget lasts.
         ++h.bad_streak;
-        if (h.bad_streak <= options_.staleness_budget &&
+        if (h.bad_streak <= kStalenessBudget &&
             h.has_last_good) {
             obs.ips[j] = h.last_good;
             ++stats_.repaired_values;

@@ -9,15 +9,21 @@
 namespace satori {
 namespace core {
 
-WeightController::WeightController(Options options)
+namespace {
+
+/** Bounds of the final throughput weight (Sec. III-C). */
+constexpr double kWeightMin = 0.25;
+constexpr double kWeightMax = 0.75;
+
+} // namespace
+
+WeightController::WeightController(WeightOptions options)
     : options_(options)
 {
-    SATORI_ASSERT(options_.dt > 0.0);
-    SATORI_ASSERT(options_.prioritization_period >= options_.dt);
+    SATORI_ASSERT(options_.prioritization_period >=
+                  kDefaultIntervalSeconds);
     SATORI_ASSERT(options_.equalization_period >=
                   options_.prioritization_period);
-    SATORI_ASSERT(options_.w_min >= 0.0 && options_.w_max <= 1.0 &&
-                  options_.w_min < options_.w_max);
 }
 
 WeightComponents
@@ -25,10 +31,10 @@ WeightController::update(double throughput, double fairness)
 {
     WeightComponents out;
 
-    const auto tp_iters = static_cast<std::size_t>(
-        std::llround(options_.prioritization_period / options_.dt));
-    const auto te_iters = static_cast<std::size_t>(
-        std::llround(options_.equalization_period / options_.dt));
+    const auto tp_iters = static_cast<std::size_t>(std::llround(
+        options_.prioritization_period / kDefaultIntervalSeconds));
+    const auto te_iters = static_cast<std::size_t>(std::llround(
+        options_.equalization_period / kDefaultIntervalSeconds));
 
     // --- Prioritization component (Eq. 4) -------------------------------
     if (period_start_throughput_ < 0.0) {
@@ -81,7 +87,7 @@ WeightController::update(double throughput, double fairness)
                         static_cast<double>(te_iters);
     out.blend = frac;
     double w_t = frac * out.w_te + (1.0 - frac) * out.w_tp;
-    w_t = clamp(w_t, options_.w_min, options_.w_max);
+    w_t = clamp(w_t, kWeightMin, kWeightMax);
     out.w_t = w_t;
     out.w_f = 1.0 - w_t;
 

@@ -13,6 +13,9 @@ namespace harness {
 
 namespace {
 
+/** Isolation-baseline re-record period (paper: T_E = 10 s). */
+constexpr Seconds kBaselineResetPeriod = 10.0;
+
 /** Bitwise double equality (recovery verification wants exactness). */
 bool
 bitEqual(double a, double b)
@@ -74,8 +77,7 @@ verifyReplay(const persist::IntervalRecord& logged,
 ExperimentRunner::ExperimentRunner(ExperimentOptions options)
     : options_(std::move(options))
 {
-    SATORI_ASSERT(options_.dt > 0.0);
-    SATORI_ASSERT(options_.duration >= options_.dt);
+    SATORI_ASSERT(options_.duration >= kDefaultIntervalSeconds);
 }
 
 ExperimentResult
@@ -89,7 +91,7 @@ ExperimentRunner::run(sim::SimulatedServer& server,
 
     sim::PerfMonitor monitor(server);
     const auto steps = static_cast<std::size_t>(
-        std::llround(options_.duration / options_.dt));
+        std::llround(options_.duration / kDefaultIntervalSeconds));
     Seconds last_reset = server.now();
 
     std::vector<OnlineStats> per_job_speedup(server.numJobs());
@@ -178,7 +180,7 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             options_.faults->beginInterval(server))
             monitor.resetBaseline();
 
-        const sim::IntervalObservation obs = monitor.observe(options_.dt);
+        const sim::IntervalObservation obs = monitor.observe();
 
         // Score against the *instantaneous* isolation performance so
         // reported aggregates are not biased by baseline staleness;
@@ -243,7 +245,7 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             static_cast<std::uint64_t>(step), obs.time, obs.ips, t_norm,
             f_norm));
 
-        if (obs.time - last_reset >= options_.baseline_reset_period) {
+        if (obs.time - last_reset >= kBaselineResetPeriod) {
             monitor.resetBaseline();
             last_reset = obs.time;
         }

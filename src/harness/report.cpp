@@ -21,6 +21,14 @@ comparePolicies(const PlatformSpec& platform, const workloads::JobMix& mix,
                 const ExperimentOptions& options, std::uint64_t seed,
                 core::SatoriOptions satori_options)
 {
+    // Every score is divided by the Balanced Oracle, which maximizes
+    // the objective's metrics: the runner must score with the same
+    // pair or the percentages compare two different quantities.
+    if (options.tmetric != satori_options.objective.throughputMetric() ||
+        options.fmetric != satori_options.objective.fairnessMetric())
+        SATORI_FATAL("comparePolicies: the experiment scores with a "
+                     "different throughput/fairness metric pair than "
+                     "the Oracle's objective maximizes");
     const ExperimentRunner runner(options);
     MixComparison comp;
     comp.mix_label = mix.label;

@@ -11,6 +11,28 @@
 namespace satori {
 namespace sim {
 
+namespace {
+
+/**
+ * Transient IPS loss per unit of allocation change, by resource kind:
+ * re-pinning threads evicts private-cache state, CAT way remaps must
+ * re-warm the LLC, MBA reprogramming is just an MSR write.
+ */
+constexpr double kReconfigCostCores = 0.06;
+constexpr double kReconfigCostWays = 0.03;
+constexpr double kReconfigCostBw = 0.005;
+static_assert(kReconfigCostCores > kReconfigCostWays &&
+              kReconfigCostWays > kReconfigCostBw);
+
+/** Cap on the per-interval transient loss fraction. */
+constexpr double kReconfigCostCap = 0.35;
+
+/** Geometric per-interval decay of the transient. */
+constexpr double kReconfigDecay = 0.35;
+static_assert(kReconfigDecay > 0.0 && kReconfigDecay < 1.0);
+
+} // namespace
+
 SimulatedServer::SimulatedServer(PlatformSpec platform,
                                  perfmodel::MachineParams machine,
                                  std::vector<workloads::WorkloadProfile> mix,
@@ -78,19 +100,19 @@ SimulatedServer::setConfiguration(const Configuration& config)
                 continue;
             switch (platform_.resource(r).kind) {
               case ResourceKind::Cores:
-                cost += options_.reconfig_cost_cores * delta;
+                cost += kReconfigCostCores * delta;
                 break;
               case ResourceKind::LlcWays:
-                cost += options_.reconfig_cost_ways * delta;
+                cost += kReconfigCostWays * delta;
                 break;
               case ResourceKind::MemBandwidth:
               case ResourceKind::PowerCap:
-                cost += options_.reconfig_cost_bw * delta;
+                cost += kReconfigCostBw * delta;
                 break;
             }
         }
-        reconfig_penalty_[j] = std::min(reconfig_penalty_[j] + cost,
-                                        options_.reconfig_cost_cap);
+        reconfig_penalty_[j] =
+            std::min(reconfig_penalty_[j] + cost, kReconfigCostCap);
     }
     config_ = config;
 }
@@ -145,7 +167,7 @@ SimulatedServer::step(Seconds dt)
             std::max(0.5, rng_.gaussian(1.0, options_.noise_sigma));
         // Outstanding reconfiguration transient, decaying per interval.
         const double transient = 1.0 - reconfig_penalty_[j];
-        reconfig_penalty_[j] *= options_.reconfig_decay;
+        reconfig_penalty_[j] *= kReconfigDecay;
         const double throttle =
             external_throttle_.empty() ? 1.0 : external_throttle_[j];
         const Ips ips = perf.ips * noise * transient * throttle;

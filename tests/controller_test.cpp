@@ -164,7 +164,7 @@ expectStrideSubsampledSeeds(const std::vector<std::string>& mix,
     const PlatformSpec platform = PlatformSpec::paperTestbed();
     auto server = harness::makeServer(platform, workloads::mixOf(mix), 42);
     SatoriOptions o;
-    o.resilience = ResilienceOptions::vanilla();
+    o.resilience = false;
     SatoriController satori(platform, mix.size(), o);
     const std::vector<Configuration> all =
         bo::CandidateGenerator(satori.space(), o.candidates)

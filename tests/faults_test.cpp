@@ -434,11 +434,7 @@ TEST(FaultResilienceTest, DegradedModeEngagesAndRecovers)
     auto mix = testMix();
     sim::SimulatedServer server =
         harness::makeServer(testPlatform(), mix, 11);
-    core::SatoriOptions options;
-    options.resilience.guard.staleness_budget = 3;
-    options.resilience.degraded_after = 5;
-    options.resilience.recover_after = 3;
-    auto policy = harness::makePolicy("SATORI", server, options);
+    auto policy = harness::makePolicy("SATORI", server);
     auto* satori =
         dynamic_cast<core::SatoriController*>(policy.get());
     ASSERT_NE(satori, nullptr);
@@ -468,7 +464,7 @@ TEST(FaultResilienceTest, VanillaSatoriSurvivesNaNTelemetry)
         sim::SimulatedServer server =
             harness::makeServer(PlatformSpec::paperTestbed(), mix);
         core::SatoriOptions options;
-        options.resilience = core::ResilienceOptions::vanilla();
+        options.resilience = false;
         auto policy = harness::makePolicy("SATORI", server, options);
 
         FaultInjector injector(FaultPlan::parse(plan), 0xFA17);

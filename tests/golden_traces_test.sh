@@ -2,9 +2,10 @@
 # Golden decision-trace drill for satori_sim.
 #
 # Regenerates every checked-in decision trace under tests/golden/ -
-# the three Oracles, SATORI on PARSEC and on CloudSuite under the
-# escalating fault plan, and the five baselines - and cmps each
-# against its golden. Any byte of drift fails.
+# the three Oracles, SATORI on PARSEC, SATORI on CloudSuite under the
+# escalating fault plan (hardened and --vanilla), and the five
+# baselines - and cmps each against its golden. Any byte of drift
+# fails.
 #
 # Usage: golden_traces_test.sh <path-to-satori_sim> <golden-dir>
 set -u
@@ -43,6 +44,8 @@ done
 check satori_parsec5 --mix "$PARSEC5" --policy SATORI --duration 30
 check satori_cloudsuite3_escalating --suite cloudsuite --jobs 3 \
     --policy SATORI --fault-preset escalating --duration 30
+check satori_vanilla_cloudsuite3_escalating --suite cloudsuite --jobs 3 \
+    --policy SATORI --fault-preset escalating --duration 30 --vanilla
 for policy in CLITE PARTIES dCAT CoPart Random; do
     lower=$(echo "$policy" | tr '[:upper:]' '[:lower:]')
     check "${lower}_parsec5" --mix "$PARSEC5" --policy "$policy" \
@@ -50,6 +53,6 @@ for policy in CLITE PARTIES dCAT CoPart Random; do
 done
 
 if [ "$FAIL" -eq 0 ]; then
-    echo "golden trace drill: all 10 decision traces byte-identical"
+    echo "golden trace drill: all 11 decision traces byte-identical"
 fi
 exit "$FAIL"

@@ -179,6 +179,31 @@ TEST(ComparePoliciesTest, NormalizesAgainstBalancedOracle)
     EXPECT_THROW((void)comp.score("SATORI"), FatalError);
 }
 
+TEST(ComparePoliciesTest, MetricPairMustMatchTheOracleObjective)
+{
+    // The runner's scores are divided by an Oracle that maximizes the
+    // objective's metrics; scoring with another pair is rejected.
+    ExperimentOptions opt;
+    opt.duration = 1.0;
+    opt.tmetric = ThroughputMetric::GeomeanSpeedup;
+    opt.fmetric = FairnessMetric::OneMinusCov;
+    EXPECT_THROW((void)comparePolicies(smallPlatform(), smallMix(),
+                                       {"Equal"}, opt, 42),
+                 FatalError);
+
+    core::SatoriOptions sopt;
+    sopt.objective = core::ObjectiveSpec(ThroughputMetric::GeomeanSpeedup,
+                                         FairnessMetric::JainIndex);
+    EXPECT_THROW((void)comparePolicies(smallPlatform(), smallMix(),
+                                       {"Equal"}, opt, 42, sopt),
+                 FatalError);
+
+    sopt.objective = core::ObjectiveSpec(ThroughputMetric::GeomeanSpeedup,
+                                         FairnessMetric::OneMinusCov);
+    EXPECT_NO_THROW((void)comparePolicies(smallPlatform(), smallMix(),
+                                          {"Equal"}, opt, 42, sopt));
+}
+
 TEST(ComparePoliciesTest, AggregateHelpers)
 {
     ExperimentOptions opt;

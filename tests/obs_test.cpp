@@ -537,6 +537,55 @@ TEST(ObservabilityTest, FullRunProducesNestedSpansAndAuditRecords)
     o.resetAll();
 }
 
+TEST(ObservabilityTest, ControllerPhasesAreChildrenOfDecide)
+{
+    Observability& o = observability();
+    o.resetAll();
+    o.tracer().setEnabled(true);
+
+    PlatformSpec p;
+    p.addResource(ResourceKind::Cores, 6);
+    p.addResource(ResourceKind::LlcWays, 6);
+    auto server = harness::makeServer(
+        p, workloads::mixOf({"canneal", "swaptions"}), 5);
+    auto policy = harness::makePolicy("SATORI", server);
+    harness::ExperimentOptions opt;
+    opt.duration = 3.0;
+    (void)harness::ExperimentRunner(opt).run(server, *policy, "");
+
+    // Every controller phase span must sit directly under a
+    // controller.decide span: one level deeper and inside its
+    // [start, end] window.
+    const std::vector<TraceEvent>& events = o.tracer().events();
+    std::vector<const TraceEvent*> decides;
+    for (const TraceEvent& e : events)
+        if (std::string(e.name) == "controller.decide")
+            decides.push_back(&e);
+    ASSERT_EQ(decides.size(), 30u);
+    const auto isChildOfDecide = [&](const TraceEvent& e) {
+        for (const TraceEvent* d : decides) {
+            if (d->depth + 1 == e.depth && d->start_ns <= e.start_ns &&
+                e.start_ns + e.duration_ns <=
+                    d->start_ns + d->duration_ns)
+                return true;
+        }
+        return false;
+    };
+    for (const char* phase :
+         {"controller.guard", "controller.record", "controller.incumbent",
+          "controller.candidates"}) {
+        std::size_t seen = 0;
+        for (const TraceEvent& e : events) {
+            if (std::string(e.name) != phase)
+                continue;
+            ++seen;
+            EXPECT_TRUE(isChildOfDecide(e)) << phase;
+        }
+        EXPECT_GT(seen, 0u) << phase;
+    }
+    o.resetAll();
+}
+
 TEST(ObservabilityTest, OracleSearchesAreSpannedAndCounted)
 {
     Observability& o = observability();

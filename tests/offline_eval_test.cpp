@@ -221,9 +221,11 @@ referenceTables(const sim::SimulatedServer& server,
 }
 
 /**
- * The scoring loop the odometer replaced, kept verbatim: unrank every
- * visited index with space.at(), look each job up in its table, and
- * copy the Configuration on every improvement.
+ * The scoring loop the odometer replaced: unrank every visited index
+ * on its own (the mixed-radix split of ConfigurationSpace::at(), each
+ * digit selecting a resource row that CompositionSpace::at() wrote
+ * once up front) into one scratch configuration, look each job up in
+ * its table, and copy the configuration on every improvement.
  */
 OracleResult
 referenceBestFor(const sim::SimulatedServer& server,
@@ -231,12 +233,22 @@ referenceBestFor(const sim::SimulatedServer& server,
                  const std::vector<std::size_t>& phase_signature,
                  double w_t, double w_f)
 {
-    const ConfigurationSpace space(server.platform(), server.numJobs());
     const ReferenceTables tables = referenceTables(server, phase_signature);
     const std::size_t num_jobs = server.numJobs();
     const std::size_t num_res = server.platform().numResources();
 
-    const std::uint64_t total = space.size();
+    // rows[r][c]: the c-th composition of resource r's units.
+    std::vector<std::vector<std::vector<int>>> rows(num_res);
+    std::uint64_t total = 1;
+    for (std::size_t r = 0; r < num_res; ++r) {
+        const CompositionSpace space(server.platform().units(r),
+                                     static_cast<int>(num_jobs));
+        rows[r].assign(space.size(), std::vector<int>(num_jobs));
+        for (std::uint64_t c = 0; c < space.size(); ++c)
+            space.at(c, rows[r][c]);
+        total *= space.size();
+    }
+
     const std::uint64_t stride =
         total <= options.max_evals
             ? 1
@@ -252,8 +264,16 @@ referenceBestFor(const sim::SimulatedServer& server,
 
     std::vector<double> spd(num_jobs);
     std::vector<Ips> ips_vec(num_jobs);
+    Configuration config(num_jobs, std::vector<int>(num_res * num_jobs));
     for (std::uint64_t idx = 0; idx < total; idx += stride) {
-        const Configuration config = space.at(idx);
+        // Resource 0 is the most significant digit.
+        std::uint64_t rest = idx;
+        for (std::size_t r = num_res; r-- > 0;) {
+            const std::vector<int>& row = rows[r][rest % rows[r].size()];
+            std::copy(row.begin(), row.end(),
+                      config.resourceRow(r).begin());
+            rest /= rows[r].size();
+        }
         double sum_ips = 0.0;
         for (std::size_t j = 0; j < num_jobs; ++j) {
             std::size_t flat = 0;

@@ -67,9 +67,7 @@ TEST(TelemetryGuardTest, CleanSamplesPassThroughUntouched)
 
 TEST(TelemetryGuardTest, DisabledGuardIsAPassthrough)
 {
-    TelemetryGuardOptions options;
-    options.enabled = false;
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2, /*enabled=*/false);
     auto obs = makeObs(std::numeric_limits<double>::quiet_NaN(), 0.8,
                        0.1);
     EXPECT_EQ(guard.filter(obs), SampleHealth::Healthy);
@@ -132,13 +130,12 @@ TEST(TelemetryGuardTest, ReconfigurationJumpIsNotGated)
 
 TEST(TelemetryGuardTest, FrozenCounterDetectedAfterRun)
 {
-    TelemetryGuardOptions options; // freeze_run = 3
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2);
     Seconds t = 0.1;
     warmUp(guard, 6, t);
 
-    // Deliver the bit-identical value repeatedly; by the freeze_run-th
-    // repeat the stream must be marked stale and substituted.
+    // Deliver the bit-identical value repeatedly; by the third read
+    // in a row the stream must be marked stale and substituted.
     bool frozen_seen = false;
     for (int i = 0; i < 5; ++i) {
         auto obs = makeObs(1.2345678, 1.0, t);
@@ -167,17 +164,16 @@ TEST(TelemetryGuardTest, SizeMismatchIsUnusableButKeepsShape)
 
 TEST(TelemetryGuardTest, PersistentShiftAcceptedAfterBudget)
 {
-    TelemetryGuardOptions options;
-    options.staleness_budget = 3;
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2);
     Seconds t = 0.1;
     warmUp(guard, 10, t);
 
     // A genuine regime shift: the level really moved to ~5.0. The
-    // guard substitutes for `staleness_budget` intervals, then must
+    // guard substitutes for kStalenessBudget intervals, then must
     // accept the new level instead of filtering it forever.
     double delivered = 0.0;
-    for (int i = 0; i < 6; ++i) {
+    for (std::size_t i = 0; i < TelemetryGuard::kStalenessBudget + 3;
+         ++i) {
         // Both jobs keep wobbling (a bit-identical repeat would look
         // like a frozen counter, which is a different code path).
         const double wobble = 0.01 * static_cast<double>(i % 3);
@@ -196,14 +192,13 @@ TEST(TelemetryGuardTest, PersistentShiftAcceptedAfterBudget)
 
 TEST(TelemetryGuardTest, NonFinitePastBudgetIsUnusable)
 {
-    TelemetryGuardOptions options;
-    options.staleness_budget = 2;
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2);
     Seconds t = 0.1;
     warmUp(guard, 6, t);
 
     SampleHealth last = SampleHealth::Healthy;
-    for (int i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < TelemetryGuard::kStalenessBudget + 2;
+         ++i) {
         auto obs =
             makeObs(std::numeric_limits<double>::quiet_NaN(), 1.0, t);
         last = guard.filter(obs);

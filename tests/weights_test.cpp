@@ -21,7 +21,6 @@ fastOptions()
     WeightOptions o;
     o.prioritization_period = 1.0;
     o.equalization_period = 10.0;
-    o.dt = 0.1;
     return o;
 }
 
@@ -176,7 +175,7 @@ TEST(WeightsTest, ResetPeriodsForgetsHistory)
 TEST(WeightsTest, InvalidOptionsRejected)
 {
     WeightOptions bad = fastOptions();
-    bad.prioritization_period = 0.01; // below dt
+    bad.prioritization_period = 0.01; // below one interval
     EXPECT_THROW(WeightController{bad}, PanicError);
     WeightOptions bad2 = fastOptions();
     bad2.equalization_period = 0.5; // below T_P

@@ -482,7 +482,7 @@ main(int argc, char** argv)
                 std::fprintf(stderr, "--vanilla requires a SATORI policy\n");
                 return 2;
             }
-            satori_options.resilience = core::ResilienceOptions::vanilla();
+            satori_options.resilience = false;
         }
         auto policy =
             harness::makePolicy(args.policy, server, satori_options);
@@ -497,7 +497,7 @@ main(int argc, char** argv)
                 plan = faults::FaultPlan::loadFile(args.fault_plan_file);
             } else if (args.fault_preset == "escalating") {
                 const auto horizon = static_cast<std::size_t>(
-                    args.duration / opt.dt);
+                    args.duration / kDefaultIntervalSeconds);
                 plan = faults::FaultPlan::escalating(mix.jobs.size(),
                                                      horizon);
             } else {
@@ -629,7 +629,7 @@ main(int argc, char** argv)
         std::printf("mix:       %s\n", mix.label.c_str());
         std::printf("policy:    %s\n", result.policy_name.c_str());
         std::printf("simulated: %.1f s (%.0f ms intervals)\n",
-                    args.duration, opt.dt * 1e3);
+                    args.duration, kDefaultIntervalSeconds * 1e3);
         std::printf("\nthroughput (normalized): %.4f\n",
                     result.mean_throughput);
         std::printf("fairness (Jain):         %.4f\n",
