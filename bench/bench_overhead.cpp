@@ -36,10 +36,10 @@ BM_GpRefit(benchmark::State& state)
 {
     const auto [xs, ys] =
         trainingSet(static_cast<std::size_t>(state.range(0)));
-    bo::EngineOptions opt;
-    opt.grid_refit_period = 0; // measure the plain refit
-    bo::BoEngine engine(opt);
     for (auto _ : state) {
+        // A fresh engine per iteration: its first fit is one plain
+        // full fit, never the periodic length-scale grid refit.
+        bo::BoEngine engine;
         engine.setSamples(xs, ys);
         benchmark::DoNotOptimize(engine.bestObserved());
     }

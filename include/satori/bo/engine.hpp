@@ -2,11 +2,11 @@
  * @file
  * The BO engine: proxy model + acquisition maximization over a
  * candidate set, on one exact path - an incremental exact GP, batched
- * dense scoring of every candidate, then a first-wins argmax.
- * Supports both the traditional incremental workflow (addSample) and
- * SATORI's per-iteration software reconstruction of the proxy model
- * from goal-specific records (setSamples), which is what makes
- * dynamically re-weighted objectives tractable (Sec. III-B).
+ * dense scoring of every candidate, then a first-wins argmax. The
+ * one update is SATORI's per-iteration software reconstruction of
+ * the proxy model from goal-specific records (setSamples), which is
+ * what makes dynamically re-weighted objectives tractable
+ * (Sec. III-B).
  */
 
 #ifndef SATORI_BO_ENGINE_HPP
@@ -27,27 +27,21 @@ class StateReader;
 namespace bo {
 
 /**
- * Engine configuration knobs: the hyperparameter-refit schedule and
- * the full-refit reference switch. Neither selects a different
- * scoring path - every decision is an exact Matern 5/2 posterior for
- * every candidate, maximized first-wins under Expected Improvement.
- * The GP noise variance, initial length scale and length-scale grid
- * are fixed in engine.cpp.
+ * Engine configuration: the full-refit reference switch. It does not
+ * select a different scoring path - every decision is an exact
+ * Matern 5/2 posterior for every candidate, maximized first-wins
+ * under Expected Improvement. The GP noise variance, initial length
+ * scale, length-scale grid and grid-refit period are fixed in
+ * engine.cpp.
  */
 struct EngineOptions
 {
     /**
-     * Run a marginal-likelihood length-scale grid refit every this
-     * many fits (0 = never).
-     */
-    std::size_t grid_refit_period = 20;
-
-    /**
-     * Use the O(n^2) incremental GP paths (rank-1 factor appends on
-     * addSample, factor-reusing target refreshes on setSamples with
-     * unchanged inputs). Results are bit-identical to the full-refit
-     * path; false restores the pre-optimization O(n^3)-per-update
-     * behavior and exists so tests can pin that equivalence.
+     * Update the GP through fitIncremental: an O(n^2) rank-1 factor
+     * append when setSamples extends the previous training set by one
+     * sample, a full refit otherwise. Results are bit-identical to
+     * the full-refit path; false refits from scratch (O(n^3)) on
+     * every update and exists so tests can pin that equivalence.
      */
     bool incremental = true;
 };
@@ -71,9 +65,6 @@ class BoEngine
      */
     void setSamples(const std::vector<RealVec>& inputs,
                     const std::vector<double>& targets);
-
-    /** Append one sample and refit (traditional BO path). */
-    void addSample(const RealVec& input, double target);
 
     /** True once at least one sample is fitted. */
     [[nodiscard]] bool ready() const { return gp_.isFitted(); }
@@ -108,7 +99,7 @@ class BoEngine
      * Serialize a deterministic refit recipe: the training set, the
      * fitted kernel length scale, and the grid-refit phase. The GP
      * factorization itself is not saved - refitting from the training
-     * set is pinned bit-identical to the incremental paths.
+     * set is pinned bit-identical to the incremental update.
      */
     void saveState(persist::StateWriter& w) const;
 
@@ -116,17 +107,9 @@ class BoEngine
     void restoreState(persist::StateReader& r);
 
   private:
-    /**
-     * Refit after inputs_/targets_ changed. @p appended means the
-     * change was a single push_back (enables the O(n^2) rank-1 path
-     * without a prefix re-comparison).
-     */
-    void refit(bool appended);
-
     EngineOptions options_;
+    /** The proxy model; it also holds the training set. */
     GaussianProcess gp_;
-    std::vector<RealVec> inputs_;
-    std::vector<double> targets_;
     std::size_t fits_since_grid_ = 0;
 
     /** Acquisition scratch, reused across suggest calls. Makes const

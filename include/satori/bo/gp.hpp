@@ -31,18 +31,18 @@ struct GpPrediction
 
 /**
  * Gaussian-process regression with a Matern 5/2 kernel and Gaussian
- * observation noise. fit() is a full refit (O(n^3)); the incremental
- * paths (addObservation, fitIncremental) reuse the cached kernel
- * matrix and extend the Cholesky factor in place, dropping the
- * steady-state per-update cost to O(n^2) while producing results
- * bit-identical to the full refit (the appended factor row is
- * computed with exactly the refit's arithmetic). Predictions are
- * O(n) mean / O(n^2) variance.
+ * observation noise. fit() is a full refit (O(n^3)); fitIncremental
+ * reuses the cached kernel matrix and extends the Cholesky factor in
+ * place when one input was appended, dropping the steady-state
+ * per-update cost to O(n^2) while producing results bit-identical to
+ * the full refit (the appended factor row is computed with exactly
+ * the refit's arithmetic). Predictions are O(n) mean / O(n^2)
+ * variance.
  *
  * Targets are internally standardized (zero mean, unit variance) so
  * kernel signal variance ~1 remains well-matched as the objective
- * scale changes with the dynamic weights. The incremental paths
- * re-standardize exactly on every update; when the target scale has
+ * scale changes with the dynamic weights. The incremental append
+ * re-standardizes exactly on every update; when the target scale has
  * drifted far from the scale at the last full factorization the
  * update additionally refreshes the factorization from the cached
  * kernel matrix (a numerical-hygiene backstop - the factor itself
@@ -67,23 +67,18 @@ class GaussianProcess
              const std::vector<double>& targets);
 
     /**
-     * Append one observation and update the fit in O(n^2): only the
-     * new cross-covariance row is computed, the Cholesky factor is
-     * extended in place, and the targets are re-standardized exactly.
-     * Falls back to a full refactorization from the cached kernel
-     * matrix when the rank-1 update hits an SPD failure (e.g. a
-     * duplicated input at zero jitter) or the target scale has
-     * drifted past the tolerance. Results are bit-identical to
-     * fit() on the extended training set either way.
-     */
-    void addObservation(const RealVec& x, double target);
-
-    /**
      * Like fit(), but when @p inputs is the currently fitted training
-     * set plus one appended input it takes the rank-1 addObservation
-     * path. Anything else (identical, dropped or reordered samples)
-     * takes the full O(n^3) refit. Prefix equality is bitwise, so a
-     * false negative merely costs a full refit, never correctness.
+     * set plus one appended input, update the fit in O(n^2): only the
+     * new cross-covariance row is computed, the Cholesky factor is
+     * extended in place, and the targets (all of which may have
+     * changed) are re-standardized exactly. The append falls back to
+     * a full refactorization from the cached kernel matrix when the
+     * rank-1 update hits an SPD failure (e.g. a duplicated input at
+     * zero jitter) or the target scale has drifted past the
+     * tolerance. Anything else (identical, dropped or reordered
+     * samples) takes the full O(n^3) refit. Prefix equality is
+     * bitwise, so a false negative merely costs a full refit. Results
+     * are bit-identical to fit() on every path.
      */
     void fitIncremental(const std::vector<RealVec>& inputs,
                         const std::vector<double>& targets);
@@ -103,10 +98,6 @@ class GaussianProcess
      */
     void predictBatchInto(const std::vector<RealVec>& xs,
                           std::vector<GpPrediction>& out) const;
-
-    /** Convenience predictBatchInto returning a fresh vector. */
-    [[nodiscard]] std::vector<GpPrediction> predictBatch(
-        const std::vector<RealVec>& xs) const;
 
     /**
      * Posterior means only, for all of @p xs: bit-identical to the
@@ -132,6 +123,18 @@ class GaussianProcess
 
     /** Number of training samples in the current fit. */
     [[nodiscard]] std::size_t numSamples() const { return inputs_.size(); }
+
+    /** Training inputs of the current fit (empty before the first). */
+    [[nodiscard]] const std::vector<RealVec>& inputs() const
+    {
+        return inputs_;
+    }
+
+    /** Training targets of the current fit, in the original scale. */
+    [[nodiscard]] const std::vector<double>& targets() const
+    {
+        return y_raw_;
+    }
 
     /** The kernel in use. */
     [[nodiscard]] const Matern52Kernel& kernel() const { return kernel_; }

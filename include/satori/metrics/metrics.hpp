@@ -76,6 +76,16 @@ enum class FairnessMetric
                             const std::vector<Ips>& isolation_ips);
 
 /**
+ * normalizedThroughput() of a speedup metric (GeomeanSpeedup or
+ * HarmonicSpeedup) from precomputed per-job speedups, for callers
+ * that already hold them; normalizedThroughput() computes them with
+ * speedups() and calls this.
+ * @pre metric != ThroughputMetric::SumIps.
+ */
+[[nodiscard]] double normalizedSpeedupThroughput(
+    ThroughputMetric metric, const std::vector<double>& speedup);
+
+/**
  * Normalize a fairness value to [0, 1]: Jain's index already is;
  * 1 - CoV is clamped from below at 0 (Sec. III-B notes it has no
  * lower bound).

@@ -25,6 +25,9 @@ constexpr double kLengthScale = 0.5;
 constexpr std::array<double, 5> kLengthScaleGrid = {0.2, 0.35, 0.5, 0.75,
                                                     1.0};
 
+/** Run the length-scale grid refit every this many fits. */
+constexpr std::size_t kGridRefitPeriod = 20;
+
 /** Fewest samples for which the grid refit runs. */
 constexpr std::size_t kGridMinSamples = 8;
 
@@ -44,55 +47,37 @@ BoEngine::setSamples(const std::vector<RealVec>& inputs,
     SATORI_ASSERT(!inputs.empty());
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkTrainingSet(
         inputs, targets, __FILE__, __LINE__));
-    inputs_ = inputs;
-    targets_ = targets;
-    refit(false);
-}
-
-void
-BoEngine::addSample(const RealVec& input, double target)
-{
-    inputs_.push_back(input);
-    targets_.push_back(target);
-    refit(true);
-}
-
-void
-BoEngine::refit(bool appended)
-{
     SATORI_OBS_SPAN("bo.fit");
     SATORI_OBS_METRIC(bo_fits.inc());
     ++fits_since_grid_;
-    const bool use_grid = options_.grid_refit_period > 0 &&
-                          fits_since_grid_ >= options_.grid_refit_period &&
-                          inputs_.size() >= kGridMinSamples;
-    if (use_grid) {
+    if (fits_since_grid_ >= kGridRefitPeriod &&
+        inputs.size() >= kGridMinSamples) {
         SATORI_OBS_METRIC(bo_grid_refits.inc());
-        gp_.fitWithLengthScaleGrid(inputs_, targets_, kLengthScaleGrid);
+        gp_.fitWithLengthScaleGrid(inputs, targets, kLengthScaleGrid);
         fits_since_grid_ = 0;
-    } else if (!options_.incremental) {
-        gp_.fit(inputs_, targets_);
-    } else if (appended && gp_.isFitted()) {
-        gp_.addObservation(inputs_.back(), targets_.back());
+    } else if (options_.incremental) {
+        gp_.fitIncremental(inputs, targets);
     } else {
-        gp_.fitIncremental(inputs_, targets_);
+        gp_.fit(inputs, targets);
     }
 }
 
 double
 BoEngine::bestObserved() const
 {
-    SATORI_ASSERT(!targets_.empty());
-    return *std::max_element(targets_.begin(), targets_.end());
+    const std::vector<double>& targets = gp_.targets();
+    SATORI_ASSERT(!targets.empty());
+    return *std::max_element(targets.begin(), targets.end());
 }
 
 std::size_t
 BoEngine::bestIndex() const
 {
-    SATORI_ASSERT(!targets_.empty());
+    const std::vector<double>& targets = gp_.targets();
+    SATORI_ASSERT(!targets.empty());
     return static_cast<std::size_t>(
-        std::max_element(targets_.begin(), targets_.end()) -
-        targets_.begin());
+        std::max_element(targets.begin(), targets.end()) -
+        targets.begin());
 }
 
 std::size_t
@@ -140,7 +125,7 @@ BoEngine::probeMeans(const std::vector<RealVec>& probes) const
 std::size_t
 BoEngine::numSamples() const
 {
-    return inputs_.size();
+    return gp_.numSamples();
 }
 
 void
@@ -149,10 +134,10 @@ BoEngine::saveState(persist::StateWriter& w) const
     w.putDouble(gp_.kernel().lengthScale());
     w.putBool(ready());
     w.putSize(fits_since_grid_);
-    w.putSize(inputs_.size());
-    for (const RealVec& x : inputs_)
+    w.putSize(gp_.numSamples());
+    for (const RealVec& x : gp_.inputs())
         w.putDoubleVec(x);
-    w.putDoubleVec(targets_);
+    w.putDoubleVec(gp_.targets());
 }
 
 void
@@ -162,23 +147,29 @@ BoEngine::restoreState(persist::StateReader& r)
     const bool fitted = r.getBool();
     fits_since_grid_ = r.getSize();
     const std::size_t n = r.getSize();
-    inputs_.clear();
-    inputs_.reserve(n);
+    std::vector<RealVec> inputs;
+    inputs.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        inputs_.push_back(r.getDoubleVec());
-    targets_ = r.getDoubleVec();
-    if (targets_.size() != inputs_.size())
+        inputs.push_back(r.getDoubleVec());
+    const std::vector<double> targets = r.getDoubleVec();
+    if (targets.size() != inputs.size())
         SATORI_FATAL("BO engine state has " +
-                     std::to_string(inputs_.size()) + " inputs but " +
-                     std::to_string(targets_.size()) + " targets");
+                     std::to_string(inputs.size()) + " inputs but " +
+                     std::to_string(targets.size()) + " targets");
+    // The GP holds the training set, so a fit and a non-empty
+    // training set come and go together.
+    if (fitted == inputs.empty())
+        SATORI_FATAL("BO engine state has " +
+                     std::to_string(inputs.size()) + " samples but " +
+                     (fitted ? "a fit" : "no fit"));
     // Rebuild the GP at the saved length scale and refit the full
     // training set. A full fit is bit-identical to the incremental
-    // update paths (pinned by the GP tests), so the resumed posterior
+    // update (pinned by the GP tests), so the resumed posterior
     // matches the uninterrupted run exactly. A plain refit does not
     // advance fits_since_grid_, preserving the grid-refit timing.
     gp_ = GaussianProcess(Matern52Kernel(length_scale), kNoiseVariance);
-    if (fitted && !inputs_.empty())
-        gp_.fit(inputs_, targets_);
+    if (fitted)
+        gp_.fit(inputs, targets);
 }
 
 } // namespace bo

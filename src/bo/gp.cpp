@@ -170,16 +170,18 @@ GaussianProcess::samePrefix(const std::vector<RealVec>& other,
 }
 
 void
-GaussianProcess::addObservation(const RealVec& x, double target)
+GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
+                                const std::vector<double>& targets)
 {
-    if (!fitted_) {
-        inputs_.assign(1, x);
-        y_raw_.assign(1, target);
-        fitStandardized();
+    SATORI_ASSERT(inputs.size() == targets.size());
+    SATORI_ASSERT(!inputs.empty());
+    if (!fitted_ || inputs.size() != inputs_.size() + 1 ||
+        !samePrefix(inputs, inputs_.size())) {
+        fit(inputs, targets);
         return;
     }
-    const bool extended = tryExtendFactor(x);
-    y_raw_.push_back(target);
+    const bool extended = tryExtendFactor(inputs.back());
+    y_raw_ = targets;
     if (!extended) {
         // SPD failure at the current jitter (e.g. a duplicated input
         // at jitter 0): refactorize the cached matrix from scratch so
@@ -196,33 +198,6 @@ GaussianProcess::addObservation(const RealVec& x, double target)
     standardizeAndSolve();
     if (scaleDrifted())
         refitFromCache();
-}
-
-void
-GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
-                                const std::vector<double>& targets)
-{
-    SATORI_ASSERT(inputs.size() == targets.size());
-    SATORI_ASSERT(!inputs.empty());
-    if (fitted_ && inputs.size() == inputs_.size() + 1 &&
-        samePrefix(inputs, inputs_.size())) {
-        const bool extended = tryExtendFactor(inputs.back());
-        y_raw_ = targets;
-        if (!extended) {
-            refitFromCache();
-            return;
-        }
-        SATORI_OBS_SPAN("gp.fit.incremental");
-        SATORI_OBS_METRIC(gp_incremental_updates.inc());
-        SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
-            chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
-            __FILE__, __LINE__));
-        standardizeAndSolve();
-        if (scaleDrifted())
-            refitFromCache();
-        return;
-    }
-    fit(inputs, targets);
 }
 
 GpPrediction
@@ -314,14 +289,6 @@ GaussianProcess::predictMeansInto(const std::vector<RealVec>& xs,
         for (std::size_t c = 0; c < b1 - b0; ++c)
             out[b0 + c] = y_mean_ + y_scale_ * scratch_.means[c];
     }
-}
-
-std::vector<GpPrediction>
-GaussianProcess::predictBatch(const std::vector<RealVec>& xs) const
-{
-    std::vector<GpPrediction> out;
-    predictBatchInto(xs, out);
-    return out;
 }
 
 double

@@ -7,6 +7,25 @@
 
 namespace satori {
 
+namespace {
+
+/** Raw throughput of a speedup metric from per-job speedups. */
+double
+speedupThroughput(ThroughputMetric metric, const std::vector<double>& speedup)
+{
+    switch (metric) {
+      case ThroughputMetric::GeomeanSpeedup:
+        return geomean(speedup);
+      case ThroughputMetric::HarmonicSpeedup:
+        return harmonicMean(speedup);
+      case ThroughputMetric::SumIps:
+        break;
+    }
+    SATORI_PANIC("speedupThroughput needs a speedup metric");
+}
+
+} // namespace
+
 std::vector<double>
 speedups(const std::vector<Ips>& ips, const std::vector<Ips>& isolation_ips)
 {
@@ -56,9 +75,8 @@ throughput(ThroughputMetric metric, const std::vector<Ips>& ips,
       case ThroughputMetric::SumIps:
         return std::accumulate(ips.begin(), ips.end(), 0.0);
       case ThroughputMetric::GeomeanSpeedup:
-        return geomean(speedups(ips, isolation_ips));
       case ThroughputMetric::HarmonicSpeedup:
-        return harmonicMean(speedups(ips, isolation_ips));
+        return speedupThroughput(metric, speedups(ips, isolation_ips));
     }
     SATORI_PANIC("unknown ThroughputMetric");
 }
@@ -84,13 +102,19 @@ normalizedThroughput(ThroughputMetric metric, const std::vector<Ips>& ips,
         return clamp(total / iso_total / scale, 0.0, 1.0);
       }
       case ThroughputMetric::GeomeanSpeedup:
-      case ThroughputMetric::HarmonicSpeedup: {
-        const double scale = colocationThroughputScale(ips.size());
-        return clamp(throughput(metric, ips, isolation_ips) / scale, 0.0,
-                     1.0);
-      }
+      case ThroughputMetric::HarmonicSpeedup:
+        return normalizedSpeedupThroughput(metric,
+                                           speedups(ips, isolation_ips));
     }
     SATORI_PANIC("unknown ThroughputMetric");
+}
+
+double
+normalizedSpeedupThroughput(ThroughputMetric metric,
+                            const std::vector<double>& speedup)
+{
+    const double scale = colocationThroughputScale(speedup.size());
+    return clamp(speedupThroughput(metric, speedup) / scale, 0.0, 1.0);
 }
 
 double

@@ -226,6 +226,10 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
     std::vector<double> fair(row_cap);
     std::vector<Ips> ips_vec(num_jobs);
     std::vector<double> spd_vec(num_jobs);
+    // The speedup tables hold ips / isolation already, so a speedup
+    // metric scores spd_vec instead of recomputing it: the same values
+    // as normalizedThroughput(), bit for bit.
+    const bool speedup_thr = options_.tmetric != ThroughputMetric::SumIps;
 
     for (std::uint64_t row_idx = 0; row_idx < total;) {
         const std::uint64_t first = digit[last];
@@ -258,8 +262,12 @@ OfflineEvaluator::bestFor(const std::vector<std::size_t>& phase_signature,
                     ips_vec[j] = ips_rows[j][k];
                     spd_vec[j] = spd_rows[j][k];
                 }
-                thr[k] = normalizedThroughput(options_.tmetric, ips_vec,
-                                              tables.isolation);
+                thr[k] = speedup_thr
+                             ? normalizedSpeedupThroughput(options_.tmetric,
+                                                           spd_vec)
+                             : normalizedThroughput(options_.tmetric,
+                                                    ips_vec,
+                                                    tables.isolation);
                 fair[k] = normalizedFairness(options_.fmetric, spd_vec);
             }
         }

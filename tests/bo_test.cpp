@@ -18,8 +18,10 @@
 #include "satori/bo/engine.hpp"
 #include "satori/bo/gp.hpp"
 #include "satori/bo/kernel.hpp"
+#include "satori/common/logging.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
+#include "satori/obs/obs.hpp"
 #include "satori/persist/codec.hpp"
 
 namespace satori {
@@ -136,12 +138,13 @@ randomPoint(Rng& rng, std::size_t dims)
     return x;
 }
 
-TEST(GpIncrementalTest, AddObservationMatchesFullRefitBitwise)
+TEST(GpIncrementalTest, FitIncrementalAppendMatchesFullRefitBitwise)
 {
     // Randomized sequences, including a duplicated input (SPD-failure
     // fallback) and a large target-scale shift (drift fallback): the
-    // incremental GP must match a from-scratch fit at every step -
-    // bitwise, because decision-trace stability depends on it.
+    // GP extended one appended sample at a time must match a
+    // from-scratch fit at every step - bitwise, because
+    // decision-trace stability depends on it.
     Rng rng(31337);
     const std::size_t dims = 4;
     std::vector<RealVec> xs;
@@ -153,6 +156,11 @@ TEST(GpIncrementalTest, AddObservationMatchesFullRefitBitwise)
     for (int p = 0; p < 8; ++p)
         probes.push_back(randomPoint(rng, dims));
 
+#if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
+    obs::Observability& o = obs::observability();
+    o.resetAll();
+    o.setMetricsEnabled(true);
+#endif
     for (std::size_t step = 0; step < 40; ++step) {
         RealVec x;
         if (step == 15) {
@@ -166,11 +174,7 @@ TEST(GpIncrementalTest, AddObservationMatchesFullRefitBitwise)
         xs.push_back(x);
         ys.push_back(y);
 
-        if (step == 0) {
-            incremental.fit(xs, ys);
-        } else {
-            incremental.addObservation(x, y);
-        }
+        incremental.fitIncremental(xs, ys);
 
         GaussianProcess fresh(Matern52Kernel(0.5),
                               0.05);
@@ -186,9 +190,15 @@ TEST(GpIncrementalTest, AddObservationMatchesFullRefitBitwise)
             EXPECT_EQ(pi.variance, pf.variance) << "step " << step;
         }
     }
+#if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
+    // Every step after the first took the rank-1 append branch, not
+    // the full refit it is compared against.
+    EXPECT_EQ(o.lib().gp_incremental_updates.value(), 39u);
+    o.resetAll();
+#endif
 }
 
-TEST(GpIncrementalTest, NearSingularDuplicatesStillMatchFullRefit)
+TEST(GpIncrementalTest, FitIncrementalNearSingularDuplicatesMatchFullRefit)
 {
     // Vanishing noise + duplicated inputs: the rank-1 append either
     // succeeds with the same pivot arithmetic a fresh factorization
@@ -207,7 +217,7 @@ TEST(GpIncrementalTest, NearSingularDuplicatesStillMatchFullRefit)
                               : randomPoint(rng, 2);
         xs.push_back(x);
         ys.push_back(rng.gaussian());
-        incremental.addObservation(x, ys.back());
+        incremental.fitIncremental(xs, ys);
 
         GaussianProcess fresh(Matern52Kernel(0.5),
                               1e-12);
@@ -240,7 +250,8 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
     for (int q = 0; q < 700; ++q)
         queries.push_back(randomPoint(rng, 5));
 
-    const auto batch = gp.predictBatch(queries);
+    std::vector<GpPrediction> batch;
+    gp.predictBatchInto(queries, batch);
     ASSERT_EQ(batch.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const auto single = gp.predict(queries[q]);
@@ -288,7 +299,7 @@ TEST(GpIncrementalTest, GridFitWithNaNTargetsKeepsLastFit)
     EXPECT_TRUE(std::isnan(means[0]));
 }
 
-TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
+TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFitAndAppends)
 {
     // fitWithLengthScaleGrid now restores the best candidate's cached
     // state instead of re-fitting; the result must equal a direct fit
@@ -326,22 +337,24 @@ TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
     EXPECT_EQ(copy.predict(probe).mean, grid_gp.predict(probe).mean);
 
     // The grid GP remains incrementally updatable afterwards.
-    grid_gp.addObservation({1.1}, 0.5);
-    GaussianProcess extended(Matern52Kernel(winner),
-                             1e-4);
     auto xs2 = xs;
     auto ys2 = ys;
     xs2.push_back({1.1});
     ys2.push_back(0.5);
+    grid_gp.fitIncremental(xs2, ys2);
+    GaussianProcess extended(Matern52Kernel(winner),
+                             1e-4);
     extended.fit(xs2, ys2);
     EXPECT_EQ(grid_gp.predict(probe).mean,
               extended.predict(probe).mean);
 }
 
-TEST(EngineIncrementalTest, IncrementalToggleDoesNotChangeSuggestions)
+TEST(EngineIncrementalTest, SetSamplesIncrementalToggleDoesNotChangeSuggestions)
 {
     // The engine-level pin: same samples, same candidates, identical
-    // suggestions and predictions with the fast paths on and off.
+    // suggestions and predictions with the incremental update on and
+    // off, whether setSamples appends one sample or rebuilds the
+    // targets.
     Rng rng(2718);
     bo::EngineOptions fast_opt;
     fast_opt.incremental = true;
@@ -360,13 +373,13 @@ TEST(EngineIncrementalTest, IncrementalToggleDoesNotChangeSuggestions)
         xs.push_back(randomPoint(rng, 3));
         ys.push_back(rng.gaussian());
         if (i % 3 == 0) {
-            // Exercise the setSamples reconstruction path too.
-            fast.setSamples(xs, ys);
-            slow.setSamples(xs, ys);
-        } else {
-            fast.addSample(xs.back(), ys.back());
-            slow.addSample(xs.back(), ys.back());
+            // Re-weighted objective: every earlier target moves too,
+            // as in SATORI's per-iteration reconstruction.
+            for (double& y : ys)
+                y *= 1.5;
         }
+        fast.setSamples(xs, ys);
+        slow.setSamples(xs, ys);
         EXPECT_EQ(fast.suggestIndex(candidates),
                   slow.suggestIndex(candidates));
         const auto pf = fast.predict(candidates[0]);
@@ -402,15 +415,20 @@ TEST(AcquisitionTest, EiPrefersHigherMeanAtEqualUncertainty)
               expectedImprovement(lo, 0.5));
 }
 
-TEST(EngineTest, SuggestsNearMaximumOfSimpleFunction)
+TEST(EngineTest, SetSamplesGrowingSuggestsNearMaximumOfSimpleFunction)
 {
-    // f(x) = -(x - 0.7)^2: after a handful of samples the engine
-    // should point near 0.7 rather than the far corner.
+    // f(x) = -(x - 0.7)^2: after a handful of samples, set one more
+    // at a time, the engine should point near 0.7 rather than the
+    // far corner.
     BoEngine engine;
     Rng rng(11);
+    std::vector<RealVec> xs;
+    std::vector<double> ys;
     for (int i = 0; i < 20; ++i) {
         const double x = rng.uniform();
-        engine.addSample({x}, -(x - 0.7) * (x - 0.7));
+        xs.push_back({x});
+        ys.push_back(-(x - 0.7) * (x - 0.7));
+        engine.setSamples(xs, ys);
     }
     std::vector<RealVec> candidates;
     for (int i = 0; i <= 50; ++i)
@@ -575,7 +593,7 @@ TEST(EngineTest, ProductionShapeSuggestionIsPlainFirstWinsArgmax)
     EXPECT_EQ(engine.suggestIndex(with_dup), pick);
 }
 
-TEST(EngineTest, StateRoundTripPreservesSuggestIndex)
+TEST(EngineTest, SetSamplesStateRoundTripPreservesSuggestIndex)
 {
     std::vector<RealVec> xs;
     std::vector<double> ys;
@@ -588,10 +606,9 @@ TEST(EngineTest, StateRoundTripPreservesSuggestIndex)
     // its initial 0.5 and leaves the next refit 9 fits away, so the
     // restore must carry both.
     BoEngine engine;
-    engine.setSamples({xs.begin(), xs.begin() + 10},
-                      {ys.begin(), ys.begin() + 10});
-    for (std::size_t i = 10; i < 40; ++i)
-        engine.addSample(xs[i], ys[i]);
+    for (std::size_t n = 10; n <= 40; ++n)
+        engine.setSamples({xs.begin(), xs.begin() + n},
+                          {ys.begin(), ys.begin() + n});
 
     persist::StateWriter w;
     engine.saveState(w);
@@ -613,10 +630,34 @@ TEST(EngineTest, StateRoundTripPreservesSuggestIndex)
                   engine.predict(c).variance);
     }
 
-    engine.addSample(xs[40], ys[40]);
-    restored.addSample(xs[40], ys[40]);
+    // The next append continues the same incremental sequence.
+    engine.setSamples(xs, ys);
+    restored.setSamples(xs, ys);
     EXPECT_EQ(restored.suggestIndex(candidates),
               engine.suggestIndex(candidates));
+}
+
+TEST(EngineTest, RestoreRejectsFitFlagThatDisagreesWithSamples)
+{
+    // The GP holds the training set, so a state with samples but no
+    // fit (or a fit without samples) cannot be restored faithfully.
+    for (const bool fitted : {false, true}) {
+        persist::StateWriter w;
+        w.putDouble(0.5);
+        w.putBool(fitted);
+        w.putSize(0);
+        const std::size_t n = fitted ? 0 : 1;
+        w.putSize(n);
+        std::vector<double> targets;
+        for (std::size_t i = 0; i < n; ++i) {
+            w.putDoubleVec({0.5});
+            targets.push_back(1.0);
+        }
+        w.putDoubleVec(targets);
+        persist::StateReader r(w.bytes(), "engine-bad-fit-flag");
+        BoEngine engine;
+        EXPECT_THROW(engine.restoreState(r), FatalError) << fitted;
+    }
 }
 
 TEST(CandidatesTest, ConcentratedConfigurationsCoverEveryJob)

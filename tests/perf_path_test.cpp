@@ -1,7 +1,7 @@
 /**
  * @file
  * Pins the decision-loop performance work's determinism contract:
- * the incremental GP path (rank-1 Cholesky appends + batched
+ * the incremental GP update (rank-1 Cholesky appends + batched
  * acquisition) must produce decision traces byte-identical to the
  * full-refit path it replaced, over a real controller run that
  * exercises appends, window trims, settling, and baseline resets.
@@ -53,8 +53,9 @@ runWithTrace(const std::string& path, bool incremental,
  * per-interval decision record (time, chosen config, per-job IPS and
  * speedups, metrics) must match the full-refit path byte for byte.
  * 12 s at 100 ms intervals crosses the baseline-reset period and the
- * GP sample window, so appends, target-refreshes, and full-refit
- * fallbacks all occur.
+ * GP sample window, so rank-1 appends (with every target
+ * re-standardized) and full refits of trimmed training sets both
+ * occur.
  */
 TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
 {
