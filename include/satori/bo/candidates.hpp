@@ -15,6 +15,8 @@
 #ifndef SATORI_BO_CANDIDATES_HPP
 #define SATORI_BO_CANDIDATES_HPP
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "satori/common/rng.hpp"
@@ -41,6 +43,15 @@ struct CandidateOptions
 
 /**
  * Generates candidate configurations for one BO iteration.
+ *
+ * Candidates are flat unit rows: whole configurations back to back,
+ * each ConfigurationSpace::rowSize() ints in Configuration's row-major
+ * layout, which SoaPoints::assignShares packs for the GP without a
+ * Configuration or RealVec per candidate.
+ *
+ * Thread-safety: the const generating methods reuse internal scratch
+ * and build the structured rows on first use, so they are NOT safe to
+ * call concurrently on the same instance.
  */
 class CandidateGenerator
 {
@@ -62,17 +73,39 @@ class CandidateGenerator
     [[nodiscard]] std::vector<Configuration> concentratedConfigurations() const;
 
     /**
-     * One round of candidates: random samples, all one-unit
-     * neighbors of @p incumbent, then (when structured) seeds and the
-     * concentration set, each configuration kept at its first
-     * occurrence.
+     * Append, as rows, every configuration one move of one unit of one
+     * resource away from @p config, in (resource, giving job, taking
+     * job) order. A job holding one unit of a resource gives none.
      */
+    void appendNeighborRows(const Configuration& config,
+                            std::vector<int>& rows) const;
+
+    /**
+     * One round of candidates into @p rows (replacing its contents):
+     * random samples, all one-unit neighbors of @p incumbent, then
+     * (when structured) seeds and the concentration set, each
+     * configuration kept at its first occurrence.
+     */
+    void generateInto(const Configuration& incumbent, Rng& rng,
+                      std::vector<int>& rows) const;
+
+    /** generateInto() as Configurations. */
     [[nodiscard]] std::vector<Configuration> generate(const Configuration& incumbent,
                                         Rng& rng) const;
 
+    /** Row @p index of @p rows as a Configuration. */
+    [[nodiscard]] Configuration configurationAt(const std::vector<int>& rows,
+                                  std::size_t index) const;
+
   private:
+    /** Seed then concentration rows, built on first use. */
+    [[nodiscard]] const std::vector<int>& structuredRows() const;
+
     const ConfigurationSpace& space_;
     CandidateOptions options_;
+    mutable std::optional<std::vector<int>> structured_rows_;
+    /** De-duplication hash slots, reused across rounds. */
+    mutable std::vector<std::uint32_t> slots_;
 };
 
 } // namespace bo

@@ -80,6 +80,9 @@ class BoEngine
      * index of the best one (the first on ties).
      * @pre ready() and non-empty.
      */
+    [[nodiscard]] std::size_t suggestIndex(const SoaPoints& candidates) const;
+
+    /** suggestIndex() of @p candidates packed into one block. */
     [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates) const;
 
     /** Posterior prediction at @p x (for diagnostics and figures). */
@@ -89,6 +92,9 @@ class BoEngine
      * Posterior means at a fixed probe set; Fig. 17(b) tracks the mean
      * absolute change of these estimates between iterations.
      */
+    [[nodiscard]] std::vector<double> probeMeans(const SoaPoints& probes) const;
+
+    /** probeMeans() of @p probes packed into one block. */
     [[nodiscard]] std::vector<double> probeMeans(
         const std::vector<RealVec>& probes) const;
 
@@ -116,6 +122,8 @@ class BoEngine
      * scoring methods unsafe to call concurrently on the same engine;
      * distinct engines stay independent. */
     mutable std::vector<GpPrediction> preds_scratch_;
+    /** Packing scratch of the std::vector<RealVec> overloads. */
+    mutable SoaPoints pts_scratch_;
 };
 
 } // namespace bo

@@ -90,21 +90,21 @@ class GaussianProcess
     [[nodiscard]] GpPrediction predict(const RealVec& x) const;
 
     /**
-     * Posterior at every query point, batched: one cross-covariance
-     * matrix K* for all points and one blocked triangular solve,
-     * bit-identical to calling predict() per point but without the
-     * per-point allocations. Scratch is reused across calls (see the
-     * class comment on thread-safety).
+     * Posterior at every point of @p xs, batched: one cross-covariance
+     * matrix K* for the whole block and one multi-right-hand-side
+     * triangular solve, bit-identical to calling predict() per point
+     * but without the per-point allocations. Scratch is reused across
+     * calls (see the class comment on thread-safety).
      */
-    void predictBatchInto(const std::vector<RealVec>& xs,
+    void predictBatchInto(const SoaPoints& xs,
                           std::vector<GpPrediction>& out) const;
 
     /**
-     * Posterior means only, for all of @p xs: bit-identical to the
-     * means predictBatchInto() computes, skipping the per-point
-     * O(n^2) variance solve.
+     * Posterior means only, for every point of @p xs: bit-identical
+     * to the means predictBatchInto() computes, skipping the
+     * per-point O(n^2) variance solve.
      */
-    void predictMeansInto(const std::vector<RealVec>& xs,
+    void predictMeansInto(const SoaPoints& xs,
                           std::vector<double>& out) const;
 
     /** Log marginal likelihood of the current fit (standardized y). */
@@ -169,11 +169,10 @@ class GaussianProcess
 
     /**
      * Cross-covariance block and standardized posterior means for
-     * xs[b0, b1) into scratch_.kstar_t / scratch_.means: the shared
-     * first half of both batched prediction paths.
+     * every point of @p xs into scratch_.kstar_t / scratch_.means:
+     * the shared first half of both batched prediction paths.
      */
-    void meansBlock(const std::vector<RealVec>& xs, std::size_t b0,
-                    std::size_t b1) const;
+    void meansBlock(const SoaPoints& xs) const;
 
     Matern52Kernel kernel_;
     double noise_variance_;
@@ -199,7 +198,6 @@ class GaussianProcess
     /** Batched-prediction working storage, reused across calls. */
     struct BlockScratch
     {
-        SoaPoints pts;
         linalg::Matrix kstar_t; ///< n x B cross-covariance block.
         linalg::Matrix v;       ///< n x B triangular-solve solutions.
         std::vector<double> means;

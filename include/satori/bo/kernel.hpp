@@ -8,6 +8,7 @@
 #ifndef SATORI_BO_KERNEL_HPP
 #define SATORI_BO_KERNEL_HPP
 
+#include <span>
 #include <vector>
 
 #include "satori/common/types.hpp"
@@ -26,9 +27,20 @@ class SoaPoints
   public:
     SoaPoints() = default;
 
-    /** Pack pts[begin, end) (equal-length vectors). Reuses storage. */
-    void assign(const std::vector<RealVec>& pts, std::size_t begin,
-                std::size_t end);
+    /** Pack @p pts (equal-length vectors). Reuses storage. */
+    void assign(const std::vector<RealVec>& pts);
+
+    /**
+     * Pack configuration unit rows as share-normalized points.
+     * @p rows holds whole configurations back to back, each
+     * @p num_resources x @p num_jobs units in Configuration's
+     * row-major layout. Coordinate r * num_jobs + j of point c is row
+     * c's units of resource r for job j divided by row c's total of
+     * resource r: element for element Configuration::normalizedVector(),
+     * without a vector per point. Reuses storage.
+     */
+    void assignShares(std::span<const int> rows, std::size_t num_jobs,
+                      std::size_t num_resources);
 
     /** Number of packed points. */
     [[nodiscard]] std::size_t count() const { return count_; }

@@ -64,6 +64,9 @@ class Configuration
     /** Mutable row (validity must be restored by the caller). */
     std::span<int> resourceRow(ResourceIndex r);
 
+    /** Every resource row back to back (the constructor's layout). */
+    [[nodiscard]] std::span<const int> flatUnits() const { return units_; }
+
     /** Total units assigned for resource @p r. */
     [[nodiscard]] int totalUnits(ResourceIndex r) const;
 

@@ -53,12 +53,15 @@ class CompositionSpace
     int units_;
     int parts_;
     std::uint64_t size_;
+    /** choose_[b * units_ + a] = C(a, b) for a < units_, b < parts_:
+     * every block size at() steps over, filled by Pascal's rule. */
+    std::vector<std::uint64_t> choose_;
 };
 
 /**
  * The joint configuration space over all resources of a platform for
  * a fixed number of co-located jobs. Provides size, index -> config
- * enumeration, uniform sampling, and neighborhood generation.
+ * enumeration and uniform sampling.
  */
 class ConfigurationSpace
 {
@@ -79,11 +82,17 @@ class ConfigurationSpace
     [[nodiscard]] Configuration sample(Rng& rng) const;
 
     /**
-     * All configurations reachable from @p config by moving exactly
-     * one unit of one resource between two jobs (the local moves used
-     * by BO candidate refinement and the gradient-descent baseline).
+     * Write a uniformly random configuration's units into @p out in
+     * Configuration's row-major layout, with the same draws as
+     * sample(). @pre out.size() == rowSize().
      */
-    [[nodiscard]] std::vector<Configuration> neighbors(const Configuration& config) const;
+    void sampleInto(Rng& rng, std::span<int> out) const;
+
+    /** Units per configuration: resources x jobs. */
+    [[nodiscard]] std::size_t rowSize() const
+    {
+        return per_resource_.size() * num_jobs_;
+    }
 
     /** Number of co-located jobs. */
     [[nodiscard]] std::size_t numJobs() const { return num_jobs_; }

@@ -196,8 +196,13 @@ class SatoriController final : public PartitioningPolicy
     std::vector<Configuration> seeds_;
     std::size_t next_seed_ = 0;
 
-    std::vector<RealVec> probes_;
+    bo::SoaPoints probes_;
     std::vector<double> last_probe_means_;
+
+    /** Explore-decision scratch: candidate unit rows and their
+     * share-normalized block. */
+    std::vector<int> cand_rows_;
+    bo::SoaPoints cand_pts_;
 
     // Convergence / settling state (Sec. V overhead optimization).
     bool settled_ = false;

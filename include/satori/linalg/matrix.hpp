@@ -27,6 +27,14 @@ class Matrix
     /** A rows x cols matrix initialized to @p fill. */
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
+    /**
+     * Become a rows x cols matrix in the storage already held, so a
+     * scratch matrix whose shape changes from call to call does not
+     * reallocate. Element values are left over from earlier use: the
+     * caller overwrites every element.
+     */
+    void reshape(std::size_t rows, std::size_t cols);
+
     /** Number of rows. */
     [[nodiscard]] std::size_t rows() const { return rows_; }
 

@@ -50,6 +50,10 @@ class ClitePolicy final : public PartitioningPolicy
     std::vector<RealVec> xs_;
     std::vector<double> ys_;
 
+    /** Suggest scratch: candidate unit rows and their shares. */
+    std::vector<int> cand_rows_;
+    bo::SoaPoints cand_pts_;
+
     std::size_t init_left_;
     double best_seen_ = -1.0;
     std::size_t stall_ = 0;

@@ -1,6 +1,9 @@
 #include "satori/bo/candidates.hpp"
 
-#include <set>
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <span>
 
 #include "satori/common/logging.hpp"
 
@@ -11,6 +14,65 @@ namespace {
 
 /** Uniform random candidates per round. */
 constexpr std::size_t kNumRandom = 256;
+
+/** An unused de-duplication slot. */
+constexpr std::uint32_t kEmptySlot =
+    std::numeric_limits<std::uint32_t>::max();
+
+/** FNV-1a over the units, then a splitmix64 finalizer so the low bits
+ * that pick a slot depend on every unit. */
+std::uint64_t
+hashRow(const int* row, std::size_t width)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t k = 0; k < width; ++k) {
+        h ^= static_cast<std::uint32_t>(row[k]);
+        h *= 0x100000001b3ULL;
+    }
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    return h;
+}
+
+/**
+ * Drop every row of @p rows (@p width ints each) equal to an earlier
+ * one, keeping first occurrences in their order: open addressing over
+ * row hashes, a hit confirmed by a full row compare. @p slots is
+ * scratch.
+ */
+void
+keepFirstOccurrences(std::vector<int>& rows, std::size_t width,
+                     std::vector<std::uint32_t>& slots)
+{
+    const std::size_t count = rows.size() / width;
+    SATORI_ASSERT(count < kEmptySlot);
+    slots.assign(std::bit_ceil(2 * count + 1), kEmptySlot);
+    const std::size_t mask = slots.size() - 1;
+    int* base = rows.data();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const int* row = base + i * width;
+        std::size_t s = hashRow(row, width) & mask;
+        bool repeat = false;
+        for (; slots[s] != kEmptySlot; s = (s + 1) & mask) {
+            const int* earlier = base + slots[s] * width;
+            if (std::equal(row, row + width, earlier)) {
+                repeat = true;
+                break;
+            }
+        }
+        if (repeat)
+            continue;
+        // Row `kept` is where this row lands; kept <= i, so the copy
+        // never overlaps.
+        slots[s] = static_cast<std::uint32_t>(kept);
+        if (kept != i)
+            std::copy(row, row + width, base + kept * width);
+        ++kept;
+    }
+    rows.resize(kept * width);
+}
 
 } // namespace
 
@@ -44,31 +106,88 @@ CandidateGenerator::seedConfigurations() const
     return seeds;
 }
 
+void
+CandidateGenerator::appendNeighborRows(const Configuration& config,
+                                       std::vector<int>& rows) const
+{
+    const std::span<const int> units = config.flatUnits();
+    SATORI_ASSERT(units.size() == space_.rowSize());
+    const std::size_t jobs = space_.numJobs();
+    for (std::size_t r = 0; r < space_.platform().numResources(); ++r) {
+        for (JobIndex from = 0; from < jobs; ++from) {
+            if (units[r * jobs + from] <= 1)
+                continue;
+            for (JobIndex to = 0; to < jobs; ++to) {
+                if (to == from)
+                    continue;
+                const std::size_t at = rows.size();
+                rows.insert(rows.end(), units.begin(), units.end());
+                rows[at + r * jobs + from] -= 1;
+                rows[at + r * jobs + to] += 1;
+            }
+        }
+    }
+}
+
+const std::vector<int>&
+CandidateGenerator::structuredRows() const
+{
+    if (!structured_rows_) {
+        std::vector<int> rows;
+        for (const Configuration& c : seedConfigurations())
+            rows.insert(rows.end(), c.flatUnits().begin(),
+                        c.flatUnits().end());
+        for (const Configuration& c : concentratedConfigurations())
+            rows.insert(rows.end(), c.flatUnits().begin(),
+                        c.flatUnits().end());
+        structured_rows_ = std::move(rows);
+    }
+    return *structured_rows_;
+}
+
+void
+CandidateGenerator::generateInto(const Configuration& incumbent, Rng& rng,
+                                 std::vector<int>& rows) const
+{
+    const std::size_t width = space_.rowSize();
+    rows.resize(kNumRandom * width);
+    for (std::size_t i = 0; i < kNumRandom; ++i)
+        space_.sampleInto(rng,
+                          std::span<int>(rows).subspan(i * width, width));
+    appendNeighborRows(incumbent, rows);
+    if (options_.structured) {
+        const std::vector<int>& structured = structuredRows();
+        rows.insert(rows.end(), structured.begin(), structured.end());
+    }
+    // The emitted order is first-occurrence order, so a round replays
+    // exactly for a given (incumbent, rng state).
+    keepFirstOccurrences(rows, width, slots_);
+    SATORI_ASSERT(!rows.empty());
+}
+
 std::vector<Configuration>
 CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
 {
+    std::vector<int> rows;
+    generateInto(incumbent, rng, rows);
+    const std::size_t count = rows.size() / space_.rowSize();
     std::vector<Configuration> out;
-    // `seen` is queried only for membership — the emitted order is the
-    // insertion order of `out`, so candidate lists replay exactly for a
-    // given (incumbent, rng state).
-    std::set<Configuration> seen;
-    auto push_unique = [&](Configuration c) {
-        if (seen.insert(c).second)
-            out.push_back(std::move(c));
-    };
-
-    for (std::size_t i = 0; i < kNumRandom; ++i)
-        push_unique(space_.sample(rng));
-    for (auto& n : space_.neighbors(incumbent))
-        push_unique(std::move(n));
-    if (options_.structured) {
-        for (auto& s : seedConfigurations())
-            push_unique(std::move(s));
-        for (auto& c : concentratedConfigurations())
-            push_unique(std::move(c));
-    }
-    SATORI_ASSERT(!out.empty());
+    out.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        out.push_back(configurationAt(rows, i));
     return out;
+}
+
+Configuration
+CandidateGenerator::configurationAt(const std::vector<int>& rows,
+                                    std::size_t index) const
+{
+    const std::size_t width = space_.rowSize();
+    SATORI_ASSERT((index + 1) * width <= rows.size());
+    const std::span<const int> row =
+        std::span(rows).subspan(index * width, width);
+    return Configuration(space_.numJobs(),
+                         std::vector<int>(row.begin(), row.end()));
 }
 
 std::vector<Configuration>

@@ -81,19 +81,19 @@ BoEngine::bestIndex() const
 }
 
 std::size_t
-BoEngine::suggestIndex(const std::vector<RealVec>& candidates) const
+BoEngine::suggestIndex(const SoaPoints& candidates) const
 {
     SATORI_OBS_SPAN("bo.acquisition");
     SATORI_OBS_METRIC(bo_suggests.inc());
     SATORI_OBS_METRIC(bo_candidates.observe(
-        static_cast<double>(candidates.size())));
+        static_cast<double>(candidates.count())));
     SATORI_ASSERT(ready());
-    SATORI_ASSERT(!candidates.empty());
+    SATORI_ASSERT(candidates.count() > 0);
     const double best = bestObserved();
     gp_.predictBatchInto(candidates, preds_scratch_);
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_idx = 0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t i = 0; i < candidates.count(); ++i) {
         const double score = expectedImprovement(preds_scratch_[i], best);
         if (score > best_score) {
             best_score = score;
@@ -101,6 +101,13 @@ BoEngine::suggestIndex(const std::vector<RealVec>& candidates) const
         }
     }
     return best_idx;
+}
+
+std::size_t
+BoEngine::suggestIndex(const std::vector<RealVec>& candidates) const
+{
+    pts_scratch_.assign(candidates);
+    return suggestIndex(pts_scratch_);
 }
 
 GpPrediction
@@ -111,7 +118,7 @@ BoEngine::predict(const RealVec& x) const
 }
 
 std::vector<double>
-BoEngine::probeMeans(const std::vector<RealVec>& probes) const
+BoEngine::probeMeans(const SoaPoints& probes) const
 {
     SATORI_OBS_SPAN("bo.probe");
     SATORI_ASSERT(ready());
@@ -120,6 +127,13 @@ BoEngine::probeMeans(const std::vector<RealVec>& probes) const
     // variance solve.
     gp_.predictMeansInto(probes, means);
     return means;
+}
+
+std::vector<double>
+BoEngine::probeMeans(const std::vector<RealVec>& probes) const
+{
+    pts_scratch_.assign(probes);
+    return probeMeans(pts_scratch_);
 }
 
 std::size_t

@@ -27,11 +27,6 @@ namespace {
  */
 constexpr double kScaleDriftTolerance = 32.0;
 
-/** Candidate block size for the batched prediction paths: bounds the
- * kstar/v scratch at n x 256 doubles so a large sweep stays
- * cache-resident instead of materializing one row per candidate. */
-constexpr std::size_t kPredictBlock = 256;
-
 } // namespace
 
 double
@@ -221,14 +216,11 @@ GaussianProcess::predict(const RealVec& x) const
 }
 
 void
-GaussianProcess::meansBlock(const std::vector<RealVec>& xs,
-                            std::size_t b0, std::size_t b1) const
+GaussianProcess::meansBlock(const SoaPoints& xs) const
 {
     const std::size_t n = inputs_.size();
-    const std::size_t bsz = b1 - b0;
-    scratch_.pts.assign(xs, b0, b1);
-    if (scratch_.kstar_t.rows() != n || scratch_.kstar_t.cols() != bsz)
-        scratch_.kstar_t = linalg::Matrix(n, bsz);
+    const std::size_t count = xs.count();
+    scratch_.kstar_t.reshape(n, count); // every element is written below
     // Cross-covariance block, training-sample-major: row i holds
     // k(inputs_[i], candidate c) for the whole block. Every element is
     // bit-identical to the candidate-major row the per-point path
@@ -236,59 +228,54 @@ GaussianProcess::meansBlock(const std::vector<RealVec>& xs,
     // the downstream GEMV and multi-solve into contiguous
     // lane-parallel row sweeps.
     for (std::size_t i = 0; i < n; ++i)
-        kernel_.covarianceCross(scratch_.pts, inputs_[i],
-                                scratch_.kstar_t.rowPtr(i));
+        kernel_.covarianceCross(xs, inputs_[i], scratch_.kstar_t.rowPtr(i));
     // means[c] accumulates alpha_[i] * k* in ascending i - the exact
     // linalg::dot order predict() uses, one lane per candidate.
-    scratch_.means.assign(bsz, 0.0);
+    scratch_.means.assign(count, 0.0);
     for (std::size_t i = 0; i < n; ++i)
         linalg::simd::fmaAccum(scratch_.means.data(),
-                               scratch_.kstar_t.rowPtr(i), alpha_[i], bsz);
+                               scratch_.kstar_t.rowPtr(i), alpha_[i], count);
 }
 
 void
-GaussianProcess::predictBatchInto(const std::vector<RealVec>& xs,
+GaussianProcess::predictBatchInto(const SoaPoints& xs,
                                   std::vector<GpPrediction>& out) const
 {
     SATORI_ASSERT(fitted_);
     const std::size_t n = inputs_.size();
-    out.resize(xs.size());
-    for (std::size_t b0 = 0; b0 < xs.size(); b0 += kPredictBlock) {
-        const std::size_t b1 = std::min(xs.size(), b0 + kPredictBlock);
-        const std::size_t bsz = b1 - b0;
-        meansBlock(xs, b0, b1);
-        chol_->solveLowerMultiTransposedInto(scratch_.kstar_t,
-                                             scratch_.v);
-        // ||v||^2 row by row: contiguous inner loop, each candidate
-        // still sums in ascending i.
-        scratch_.vv.assign(bsz, 0.0);
-        for (std::size_t i = 0; i < n; ++i)
-            linalg::simd::accumSquare(scratch_.vv.data(),
-                                      scratch_.v.rowPtr(i), bsz);
-        for (std::size_t c = 0; c < bsz; ++c) {
-            GpPrediction& o = out[b0 + c];
-            o.mean = y_mean_ + y_scale_ * scratch_.means[c];
-            const double var_std = kernel_.variance() - scratch_.vv[c];
-            SATORI_AUDIT_HOOK(
-                analysis::globalAuditor().checkPosteriorVariance(
-                    var_std, kernel_.variance(), __FILE__, __LINE__));
-            o.variance = std::max(var_std, 0.0) * y_scale_ * y_scale_;
-        }
+    const std::size_t count = xs.count();
+    out.resize(count);
+    if (count == 0)
+        return;
+    meansBlock(xs);
+    chol_->solveLowerMultiTransposedInto(scratch_.kstar_t, scratch_.v);
+    // ||v||^2 row by row: contiguous inner loop, each candidate still
+    // sums in ascending i.
+    scratch_.vv.assign(count, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        linalg::simd::accumSquare(scratch_.vv.data(), scratch_.v.rowPtr(i),
+                                  count);
+    for (std::size_t c = 0; c < count; ++c) {
+        GpPrediction& o = out[c];
+        o.mean = y_mean_ + y_scale_ * scratch_.means[c];
+        const double var_std = kernel_.variance() - scratch_.vv[c];
+        SATORI_AUDIT_HOOK(analysis::globalAuditor().checkPosteriorVariance(
+            var_std, kernel_.variance(), __FILE__, __LINE__));
+        o.variance = std::max(var_std, 0.0) * y_scale_ * y_scale_;
     }
 }
 
 void
-GaussianProcess::predictMeansInto(const std::vector<RealVec>& xs,
+GaussianProcess::predictMeansInto(const SoaPoints& xs,
                                   std::vector<double>& out) const
 {
     SATORI_ASSERT(fitted_);
-    out.resize(xs.size());
-    for (std::size_t b0 = 0; b0 < xs.size(); b0 += kPredictBlock) {
-        const std::size_t b1 = std::min(xs.size(), b0 + kPredictBlock);
-        meansBlock(xs, b0, b1);
-        for (std::size_t c = 0; c < b1 - b0; ++c)
-            out[b0 + c] = y_mean_ + y_scale_ * scratch_.means[c];
-    }
+    out.resize(xs.count());
+    if (xs.count() == 0)
+        return;
+    meansBlock(xs);
+    for (std::size_t c = 0; c < xs.count(); ++c)
+        out[c] = y_mean_ + y_scale_ * scratch_.means[c];
 }
 
 double

@@ -39,18 +39,41 @@ sqDistBlock(const SoaPoints& pts, const RealVec& q, double* out)
 } // namespace
 
 void
-SoaPoints::assign(const std::vector<RealVec>& pts, std::size_t begin,
-                  std::size_t end)
+SoaPoints::assign(const std::vector<RealVec>& pts)
 {
-    SATORI_ASSERT(begin <= end && end <= pts.size());
-    count_ = end - begin;
-    dims_ = count_ > 0 ? pts[begin].size() : 0;
+    count_ = pts.size();
+    dims_ = count_ > 0 ? pts.front().size() : 0;
     data_.resize(count_ * dims_);
     for (std::size_t c = 0; c < count_; ++c) {
-        const RealVec& p = pts[begin + c];
+        const RealVec& p = pts[c];
         SATORI_ASSERT(p.size() == dims_);
         for (std::size_t d = 0; d < dims_; ++d)
             data_[d * count_ + c] = p[d];
+    }
+}
+
+void
+SoaPoints::assignShares(std::span<const int> rows, std::size_t num_jobs,
+                        std::size_t num_resources)
+{
+    dims_ = num_jobs * num_resources;
+    SATORI_ASSERT(dims_ > 0 && rows.size() % dims_ == 0);
+    count_ = rows.size() / dims_;
+    data_.resize(count_ * dims_);
+    for (std::size_t c = 0; c < count_; ++c) {
+        const int* row = rows.data() + c * dims_;
+        for (std::size_t r = 0; r < num_resources; ++r) {
+            const int* units = row + r * num_jobs;
+            int total = 0;
+            for (std::size_t j = 0; j < num_jobs; ++j)
+                total += units[j];
+            // The same int total and double division as
+            // Configuration::normalizedVector().
+            const double total_units = static_cast<double>(total);
+            for (std::size_t j = 0; j < num_jobs; ++j)
+                data_[(r * num_jobs + j) * count_ + c] =
+                    static_cast<double>(units[j]) / total_units;
+        }
     }
 }
 

@@ -16,6 +16,15 @@ CompositionSpace::CompositionSpace(int units, int parts)
         SATORI_FATAL("cannot give every job at least one unit: units < jobs");
     size_ = binomial(static_cast<std::uint64_t>(units - 1),
                      static_cast<std::uint64_t>(parts - 1));
+    const auto a_count = static_cast<std::size_t>(units);
+    choose_.assign(a_count * static_cast<std::size_t>(parts), 0);
+    choose_[0] = 1; // C(0, 0); C(0, b > 0) stays 0
+    for (std::size_t a = 1; a < a_count; ++a) {
+        choose_[a] = 1; // C(a, 0)
+        for (std::size_t b = 1; b < static_cast<std::size_t>(parts); ++b)
+            choose_[b * a_count + a] = choose_[(b - 1) * a_count + a - 1] +
+                                       choose_[b * a_count + a - 1];
+    }
 }
 
 void
@@ -26,12 +35,14 @@ CompositionSpace::at(std::uint64_t index, std::span<int> out) const
     int remaining_units = units_;
     for (int p = 0; p < parts_ - 1; ++p) {
         const int remaining_parts = parts_ - p - 1;
+        // C(a, remaining_parts - 1) for every a.
+        const std::uint64_t* column =
+            choose_.data() + static_cast<std::size_t>(remaining_parts - 1) *
+                                 static_cast<std::size_t>(units_);
         // First part can be 1 .. remaining_units - remaining_parts.
         for (int first = 1;; ++first) {
             const std::uint64_t block =
-                binomial(static_cast<std::uint64_t>(
-                             remaining_units - first - 1),
-                         static_cast<std::uint64_t>(remaining_parts - 1));
+                column[remaining_units - first - 1];
             if (index < block) {
                 out[static_cast<std::size_t>(p)] = first;
                 remaining_units -= first;
@@ -80,31 +91,17 @@ ConfigurationSpace::at(std::uint64_t index) const
 Configuration
 ConfigurationSpace::sample(Rng& rng) const
 {
-    Configuration out(num_jobs_,
-                      std::vector<int>(per_resource_.size() * num_jobs_));
-    for (std::size_t r = 0; r < per_resource_.size(); ++r)
-        per_resource_[r].sample(rng, out.resourceRow(r));
-    return out;
+    std::vector<int> units(rowSize());
+    sampleInto(rng, units);
+    return Configuration(num_jobs_, std::move(units));
 }
 
-std::vector<Configuration>
-ConfigurationSpace::neighbors(const Configuration& config) const
+void
+ConfigurationSpace::sampleInto(Rng& rng, std::span<int> out) const
 {
-    std::vector<Configuration> out;
-    for (std::size_t r = 0; r < per_resource_.size(); ++r) {
-        for (JobIndex from = 0; from < num_jobs_; ++from) {
-            if (config.units(r, from) <= 1)
-                continue;
-            for (JobIndex to = 0; to < num_jobs_; ++to) {
-                if (to == from)
-                    continue;
-                Configuration next = config;
-                next.transferUnit(r, from, to);
-                out.push_back(std::move(next));
-            }
-        }
-    }
-    return out;
+    SATORI_ASSERT(out.size() == rowSize());
+    for (std::size_t r = 0; r < per_resource_.size(); ++r)
+        per_resource_[r].sample(rng, out.subspan(r * num_jobs_, num_jobs_));
 }
 
 std::uint64_t

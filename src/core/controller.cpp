@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "satori/analysis/invariants.hpp"
 #include "satori/common/logging.hpp"
@@ -118,11 +119,15 @@ SatoriController::SatoriController(const PlatformSpec& platform,
         seeds_ = std::move(kept);
     }
     SATORI_ASSERT(!seeds_.empty());
-    // A fixed probe set for proxy-model-change diagnostics (Fig. 17b).
+    // A fixed probe set for proxy-model-change diagnostics (Fig. 17b),
+    // packed once.
     Rng probe_rng = rng_.split();
-    probes_.reserve(options_.num_probes);
+    const std::size_t width = space_.rowSize();
+    std::vector<int> probe_rows(options_.num_probes * width);
     for (std::size_t i = 0; i < options_.num_probes; ++i)
-        probes_.push_back(space_.sample(probe_rng).normalizedVector());
+        space_.sampleInto(probe_rng, std::span<int>(probe_rows)
+                                         .subspan(i * width, width));
+    probes_.assignShares(probe_rows, num_jobs, platform.numResources());
 }
 
 std::string
@@ -452,11 +457,9 @@ SatoriController::decideCore(const IntervalObservation& obs)
     // (4) Maximize the acquisition function over the candidate set
     // built around the incumbent best.
     const Configuration& best = incumbent(weights);
-    std::vector<Configuration> candidates;
-    std::vector<RealVec> xs;
     {
         SATORI_OBS_SPAN("controller.candidates");
-        candidates = candgen_.generate(best, rng_);
+        candgen_.generateInto(best, rng_, cand_rows_);
         // Fairness-repair candidates: moves of 1-3 units of each
         // resource from the least- to the most-slowed job, from the
         // incumbent. Multi-unit moves let a single decision cross
@@ -477,15 +480,17 @@ SatoriController::decideCore(const IntervalObservation& obs)
                 for (int step = 0; step < 4; ++step) {
                     if (!c.transferUnit(r, best_j, worst))
                         break;
-                    candidates.push_back(c);
+                    cand_rows_.insert(cand_rows_.end(),
+                                      c.flatUnits().begin(),
+                                      c.flatUnits().end());
                 }
             }
         }
-        xs.reserve(candidates.size());
-        for (const auto& c : candidates)
-            xs.push_back(c.normalizedVector());
+        cand_pts_.assignShares(cand_rows_, space_.numJobs(),
+                               space_.platform().numResources());
     }
-    last_decision_ = candidates[engine_.suggestIndex(xs)];
+    last_decision_ =
+        candgen_.configurationAt(cand_rows_, engine_.suggestIndex(cand_pts_));
     last_outcome_ = "explore";
     return last_decision_;
 }

@@ -1,7 +1,9 @@
 #include "satori/core/telemetry_guard.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "satori/common/logging.hpp"
 #include "satori/common/stats.hpp"
@@ -29,16 +31,21 @@ constexpr std::size_t kHampelWindow = 11;
 /** Identical consecutive reads that mark a counter frozen. */
 constexpr std::size_t kFreezeRun = 3;
 
+/** Median of @p values (at most kHampelWindow), sorted in a stack
+ * copy. */
 double
-medianOf(std::vector<double> v)
+medianOf(std::span<const double> values)
 {
-    SATORI_ASSERT(!v.empty());
+    SATORI_ASSERT(!values.empty() && values.size() <= kHampelWindow);
+    std::array<double, kHampelWindow> scratch{};
+    const auto v = std::span(scratch).first(values.size());
+    std::copy(values.begin(), values.end(), v.begin());
     const std::size_t mid = v.size() / 2;
-    std::nth_element(v.begin(), v.begin() + mid, v.end());
+    const auto middle = v.begin() + static_cast<std::ptrdiff_t>(mid);
+    std::nth_element(v.begin(), middle, v.end());
     double m = v[mid];
     if (v.size() % 2 == 0) {
-        const double lo =
-            *std::max_element(v.begin(), v.begin() + mid);
+        const double lo = *std::max_element(v.begin(), middle);
         m = 0.5 * (m + lo);
     }
     return m;
@@ -143,11 +150,11 @@ TelemetryGuard::filter(IntervalObservation& obs)
         if (finite_ok && !frozen && config_stable &&
             h.window.size() >= std::max<std::size_t>(5, kHampelWindow / 2)) {
             const double med = medianOf(h.window);
-            std::vector<double> dev;
-            dev.reserve(h.window.size());
-            for (const double v : h.window)
-                dev.push_back(std::abs(v - med));
-            const double mad = medianOf(std::move(dev));
+            std::array<double, kHampelWindow> dev{};
+            for (std::size_t k = 0; k < h.window.size(); ++k)
+                dev[k] = std::abs(h.window[k] - med);
+            const double mad =
+                medianOf(std::span(dev).first(h.window.size()));
             // Floor the scale so a quiet window cannot turn ordinary
             // noise into outliers.
             const double sigma =
@@ -255,6 +262,12 @@ TelemetryGuard::restoreState(persist::StateReader& r)
     for (JobHistory& h : jobs_) {
         h.window = r.getDoubleVec();
         h.next = r.getSize();
+        if (h.window.size() > kHampelWindow || h.next >= kHampelWindow)
+            SATORI_FATAL("telemetry-guard state has a window of " +
+                         std::to_string(h.window.size()) +
+                         " values at ring position " +
+                         std::to_string(h.next) + "; the window holds " +
+                         std::to_string(kHampelWindow));
         h.last_good = r.getDouble();
         h.has_last_good = r.getBool();
         h.last_raw = r.getDouble();

@@ -12,6 +12,14 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
 {
 }
 
+void
+Matrix::reshape(std::size_t rows, std::size_t cols)
+{
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+}
+
 Matrix
 Matrix::identity(std::size_t n)
 {

@@ -120,13 +120,11 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
     const Configuration& incumbent =
         configs_[static_cast<std::size_t>(
             std::max_element(ys_.begin(), ys_.end()) - ys_.begin())];
-    std::vector<Configuration> candidates =
-        candgen_.generate(incumbent, rng_);
-    std::vector<RealVec> cx;
-    cx.reserve(candidates.size());
-    for (const auto& c : candidates)
-        cx.push_back(c.normalizedVector());
-    return candidates[engine_.suggestIndex(cx)];
+    candgen_.generateInto(incumbent, rng_, cand_rows_);
+    cand_pts_.assignShares(cand_rows_, space_.numJobs(),
+                           space_.platform().numResources());
+    return candgen_.configurationAt(cand_rows_,
+                                    engine_.suggestIndex(cand_pts_));
 }
 
 void

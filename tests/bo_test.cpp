@@ -244,14 +244,16 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
     GaussianProcess gp(Matern52Kernel(0.5), 0.05);
     gp.fit(xs, ys);
 
-    // 700 queries span three 256-candidate prediction blocks, the
-    // last one partial.
+    // 700 queries: a block wider than any shipped candidate set, with
+    // a partial SIMD tail.
     std::vector<RealVec> queries;
     for (int q = 0; q < 700; ++q)
         queries.push_back(randomPoint(rng, 5));
+    SoaPoints block;
+    block.assign(queries);
 
     std::vector<GpPrediction> batch;
-    gp.predictBatchInto(queries, batch);
+    gp.predictBatchInto(block, batch);
     ASSERT_EQ(batch.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const auto single = gp.predict(queries[q]);
@@ -261,7 +263,7 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
 
     // The means-only pass produces the batch means bit for bit.
     std::vector<double> means;
-    gp.predictMeansInto(queries, means);
+    gp.predictMeansInto(block, means);
     ASSERT_EQ(means.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q)
         EXPECT_EQ(std::memcmp(&means[q], &batch[q].mean, sizeof(double)),
@@ -270,8 +272,8 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
 
     // The into-variant reuses scratch across calls without cross-talk.
     std::vector<GpPrediction> out;
-    gp.predictBatchInto(queries, out);
-    gp.predictBatchInto(queries, out);
+    gp.predictBatchInto(block, out);
+    gp.predictBatchInto(block, out);
     ASSERT_EQ(out.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q)
         EXPECT_EQ(out[q].mean, batch[q].mean);
@@ -293,8 +295,10 @@ TEST(GpIncrementalTest, GridFitWithNaNTargetsKeepsLastFit)
     ASSERT_TRUE(gp.isFitted());
     EXPECT_EQ(gp.kernel().lengthScale(), 0.5);
     EXPECT_TRUE(std::isnan(gp.predict({0.3, 0.7}).mean));
+    SoaPoints block;
+    block.assign({{0.1, 0.9}, {0.8, 0.2}});
     std::vector<double> means;
-    gp.predictMeansInto({{0.1, 0.9}, {0.8, 0.2}}, means);
+    gp.predictMeansInto(block, means);
     ASSERT_EQ(means.size(), 2u);
     EXPECT_TRUE(std::isnan(means[0]));
 }
@@ -591,6 +595,63 @@ TEST(EngineTest, ProductionShapeSuggestionIsPlainFirstWinsArgmax)
     std::vector<RealVec> with_dup = candidates;
     with_dup.push_back(candidates[pick]);
     EXPECT_EQ(engine.suggestIndex(with_dup), pick);
+}
+
+TEST(EngineBlockTest, SuggestAndProbeMatchVectorOverloads)
+{
+    // The controller's flat path (unit rows packed by assignShares)
+    // against the per-candidate RealVec path, at the shipped shape.
+    const PlatformSpec p = PlatformSpec::paperTestbed();
+    ConfigurationSpace space(p, 5);
+    const CandidateGenerator gen(space);
+    for (const std::size_t n : {16u, 64u}) {
+        Rng rng(n);
+        std::vector<RealVec> xs;
+        std::vector<double> ys;
+        for (std::size_t i = 0; i < n; ++i) {
+            xs.push_back(space.sample(rng).normalizedVector());
+            ys.push_back(smoothTarget(xs.back()));
+        }
+        BoEngine engine;
+        engine.setSamples(xs, ys);
+
+        std::vector<int> rows;
+        gen.generateInto(space.sample(rng), rng, rows);
+        SoaPoints block;
+        block.assignShares(rows, 5, p.numResources());
+        std::vector<RealVec> vectors;
+        for (std::size_t c = 0; c < block.count(); ++c)
+            vectors.push_back(gen.configurationAt(rows, c).normalizedVector());
+        const std::size_t pick = engine.suggestIndex(block);
+        EXPECT_EQ(pick, engine.suggestIndex(vectors)) << "n=" << n;
+        EXPECT_EQ(pick, plainArgmax(engine, vectors)) << "n=" << n;
+        // A copy of the winning row appended at the end ties with it;
+        // the earlier index must win on the block path too.
+        const std::size_t width = space.rowSize();
+        const std::vector<int> winner(
+            rows.begin() + static_cast<std::ptrdiff_t>(pick * width),
+            rows.begin() + static_cast<std::ptrdiff_t>((pick + 1) * width));
+        std::vector<int> with_dup = rows;
+        with_dup.insert(with_dup.end(), winner.begin(), winner.end());
+        SoaPoints dup_block;
+        dup_block.assignShares(with_dup, 5, p.numResources());
+        EXPECT_EQ(engine.suggestIndex(dup_block), pick) << "n=" << n;
+
+        // Probe means: block, vectors and per-point predict(), bitwise.
+        const std::vector<double> from_block = engine.probeMeans(block);
+        const std::vector<double> from_vectors = engine.probeMeans(vectors);
+        ASSERT_EQ(from_block.size(), vectors.size());
+        ASSERT_EQ(from_vectors.size(), vectors.size());
+        for (std::size_t c = 0; c < vectors.size(); ++c) {
+            const double single = engine.predict(vectors[c]).mean;
+            EXPECT_EQ(std::memcmp(&from_block[c], &from_vectors[c],
+                                  sizeof(double)),
+                      0)
+                << "n=" << n << " probe " << c;
+            EXPECT_EQ(std::memcmp(&from_block[c], &single, sizeof(double)), 0)
+                << "n=" << n << " probe " << c;
+        }
+    }
 }
 
 TEST(EngineTest, SetSamplesStateRoundTripPreservesSuggestIndex)

@@ -2,14 +2,19 @@
  * @file
  * Unit and property tests for platforms, configurations, and the
  * configuration-space combinatorics (including the paper's Sec. II
- * search-space-size examples).
+ * search-space-size examples), with the flat candidate rows built on
+ * them checked against their per-Configuration references.
  */
 
 #include <map>
+#include <set>
 
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
+#include "satori/bo/candidates.hpp"
+#include "satori/bo/kernel.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/common/math.hpp"
 #include "satori/common/rng.hpp"
@@ -198,20 +203,56 @@ TEST_P(CompositionEnumeration, AtIsValidDistinctAndLexicographic)
     }
 }
 
+/**
+ * Reference unranking: every block size from a binomial() call, the
+ * values CompositionSpace's table must reproduce.
+ */
+void
+binomialUnrank(int units, int parts, std::uint64_t index,
+               std::vector<int>& out)
+{
+    int remaining_units = units;
+    for (int p = 0; p < parts - 1; ++p) {
+        const int remaining_parts = parts - p - 1;
+        for (int first = 1;; ++first) {
+            const std::uint64_t block =
+                binomial(static_cast<std::uint64_t>(
+                             remaining_units - first - 1),
+                         static_cast<std::uint64_t>(remaining_parts - 1));
+            if (index < block) {
+                out[static_cast<std::size_t>(p)] = first;
+                remaining_units -= first;
+                break;
+            }
+            index -= block;
+        }
+    }
+    out[static_cast<std::size_t>(parts - 1)] = remaining_units;
+}
+
+TEST_P(CompositionEnumeration, AtMatchesBinomialReference)
+{
+    const auto [units, parts] = GetParam();
+    CompositionSpace s(units, parts);
+    std::vector<int> got(static_cast<std::size_t>(parts));
+    std::vector<int> want(static_cast<std::size_t>(parts));
+    for (std::uint64_t i = 0; i < s.size(); ++i) {
+        s.at(i, got);
+        binomialUnrank(units, parts, i, want);
+        ASSERT_EQ(got, want) << "index " << i;
+    }
+}
+
 // Every suite's shape on the shipped platforms' 8-, 10- and 11-unit
 // resources: PARSEC mixes run 5 jobs, CloudSuite 3, ECP 2 and 3, and
 // the scalability sweep 3 to 7; plus the one-part and all-ones edges.
-INSTANTIATE_TEST_SUITE_P(
-    SuiteShapes, CompositionEnumeration,
-    ::testing::Values(std::make_pair(8, 2), std::make_pair(8, 3),
-                      std::make_pair(8, 5), std::make_pair(10, 2),
-                      std::make_pair(10, 3), std::make_pair(10, 4),
-                      std::make_pair(10, 5), std::make_pair(10, 6),
-                      std::make_pair(10, 7), std::make_pair(11, 2),
-                      std::make_pair(11, 3), std::make_pair(11, 4),
-                      std::make_pair(11, 5), std::make_pair(11, 6),
-                      std::make_pair(11, 7), std::make_pair(6, 6),
-                      std::make_pair(9, 1)));
+const std::pair<int, int> kSuiteShapes[] = {
+    {8, 2},  {8, 3},  {8, 5},  {10, 2}, {10, 3}, {10, 4},
+    {10, 5}, {10, 6}, {10, 7}, {11, 2}, {11, 3}, {11, 4},
+    {11, 5}, {11, 6}, {11, 7}, {6, 6},  {9, 1}};
+
+INSTANTIATE_TEST_SUITE_P(SuiteShapes, CompositionEnumeration,
+                         ::testing::ValuesIn(kSuiteShapes));
 
 TEST(CompositionSpaceTest, SamplesAreValid)
 {
@@ -280,28 +321,181 @@ TEST(ConfigurationSpaceTest, SampleUniformish)
     }
 }
 
-TEST(ConfigurationSpaceTest, NeighborsAreValidOneUnitMoves)
+TEST(NeighborRowsTest, NeighborsAreValidOneUnitMoves)
 {
     const PlatformSpec p = PlatformSpec::paperTestbed();
     ConfigurationSpace space(p, 5);
+    const bo::CandidateGenerator gen(space);
     const Configuration c = Configuration::equalPartition(p, 5);
-    const auto neighbors = space.neighbors(c);
-    EXPECT_FALSE(neighbors.empty());
-    for (const auto& n : neighbors) {
+    std::vector<int> rows;
+    gen.appendNeighborRows(c, rows);
+    // Every job holds at least two units of every resource, so each
+    // of the 3 resources has 5 x 4 (giver, taker) moves.
+    ASSERT_EQ(rows.size(), 3u * 5u * 4u * space.rowSize());
+    for (std::size_t i = 0; i < rows.size() / space.rowSize(); ++i) {
+        const Configuration n = gen.configurationAt(rows, i);
         EXPECT_TRUE(n.isValidFor(p, 5));
         EXPECT_EQ(Configuration::l1Distance(c, n), 2); // one move
     }
 }
 
-TEST(ConfigurationSpaceTest, NeighborsRespectMinimumUnits)
+TEST(NeighborRowsTest, NeighborsRespectMinimumUnits)
 {
     PlatformSpec p;
     p.addResource(ResourceKind::Cores, 2);
     ConfigurationSpace space(p, 2);
+    const bo::CandidateGenerator gen(space);
     const Configuration c = Configuration::equalPartition(p, 2);
     // Both jobs hold exactly one core: no transfers possible.
-    EXPECT_TRUE(space.neighbors(c).empty());
+    std::vector<int> rows;
+    gen.appendNeighborRows(c, rows);
+    EXPECT_TRUE(rows.empty());
 }
+
+// --- flat candidate rounds vs their Configuration references --------
+
+/** Reference neighbors: one-unit moves as Configurations, in
+ * (resource, giving job, taking job) order. */
+std::vector<Configuration>
+referenceNeighbors(const ConfigurationSpace& space,
+                   const Configuration& config)
+{
+    std::vector<Configuration> out;
+    for (std::size_t r = 0; r < space.platform().numResources(); ++r) {
+        for (JobIndex from = 0; from < space.numJobs(); ++from) {
+            if (config.units(r, from) <= 1)
+                continue;
+            for (JobIndex to = 0; to < space.numJobs(); ++to) {
+                if (to == from)
+                    continue;
+                Configuration next = config;
+                next.transferUnit(r, from, to);
+                out.push_back(std::move(next));
+            }
+        }
+    }
+    return out;
+}
+
+/** Reference round: Configurations de-duplicated through a std::set,
+ * first occurrences in emission order - what generateInto() must
+ * reproduce row for row. */
+std::vector<Configuration>
+referenceGenerate(const ConfigurationSpace& space,
+                  const bo::CandidateGenerator& gen, bool structured,
+                  const Configuration& incumbent, Rng& rng)
+{
+    std::vector<Configuration> out;
+    std::set<Configuration> seen;
+    auto push_unique = [&](Configuration c) {
+        if (seen.insert(c).second)
+            out.push_back(std::move(c));
+    };
+
+    for (std::size_t i = 0; i < 256; ++i)
+        push_unique(space.sample(rng));
+    for (auto& n : referenceNeighbors(space, incumbent))
+        push_unique(std::move(n));
+    if (structured) {
+        for (auto& s : gen.seedConfigurations())
+            push_unique(std::move(s));
+        for (auto& c : gen.concentratedConfigurations())
+            push_unique(std::move(c));
+    }
+    return out;
+}
+
+/** A three-resource platform whose resources have @p units, @p units
+ * + 1 and @p units units. */
+PlatformSpec
+shapePlatform(int units)
+{
+    PlatformSpec p;
+    p.addResource(ResourceKind::Cores, units);
+    p.addResource(ResourceKind::LlcWays, units + 1);
+    p.addResource(ResourceKind::MemBandwidth, units);
+    return p;
+}
+
+/** Incumbents for one shape: the equal partition, a random
+ * configuration, and one where job 0 takes every spare unit so every
+ * other job holds single-unit rows. */
+std::vector<Configuration>
+shapeIncumbents(const PlatformSpec& p, const ConfigurationSpace& space,
+                Rng& rng)
+{
+    const std::size_t jobs = space.numJobs();
+    Configuration greedy = Configuration::equalPartition(p, jobs);
+    for (std::size_t r = 0; r < p.numResources(); ++r) {
+        for (JobIndex j = 1; j < jobs; ++j) {
+            greedy.units(r, 0) += greedy.units(r, j) - 1;
+            greedy.units(r, j) = 1;
+        }
+    }
+    return {Configuration::equalPartition(p, jobs), space.sample(rng),
+            greedy};
+}
+
+class CandidateRounds
+    : public ::testing::TestWithParam<std::pair<int, int>>
+{
+};
+
+TEST_P(CandidateRounds, GenerateIntoMatchesSetReference)
+{
+    const auto [units, jobs] = GetParam();
+    const PlatformSpec p = shapePlatform(units);
+    const ConfigurationSpace space(p, static_cast<std::size_t>(jobs));
+    for (const bool structured : {true, false}) {
+        // One generator across every round, so reused scratch and the
+        // lazily built structured rows are exercised too.
+        const bo::CandidateGenerator gen(
+            space, bo::CandidateOptions{.structured = structured});
+        Rng pick(static_cast<std::uint64_t>(units * 100 + jobs));
+        Rng rng_ref(7);
+        Rng rng_flat(7);
+        std::vector<int> rows;
+        for (const Configuration& incumbent :
+             shapeIncumbents(p, space, pick)) {
+            ASSERT_TRUE(incumbent.isValidFor(p, space.numJobs()));
+            const std::vector<Configuration> want = referenceGenerate(
+                space, gen, structured, incumbent, rng_ref);
+            gen.generateInto(incumbent, rng_flat, rows);
+            ASSERT_EQ(rows.size(), want.size() * space.rowSize())
+                << incumbent.toString() << " structured=" << structured;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                ASSERT_TRUE(gen.configurationAt(rows, i) == want[i])
+                    << "row " << i << " of " << incumbent.toString();
+            // Both consumed exactly the same draws.
+            EXPECT_EQ(rng_ref.next(), rng_flat.next());
+        }
+    }
+}
+
+TEST_P(CandidateRounds, SharesMatchNormalizedVector)
+{
+    const auto [units, jobs] = GetParam();
+    const PlatformSpec p = shapePlatform(units);
+    const ConfigurationSpace space(p, static_cast<std::size_t>(jobs));
+    const bo::CandidateGenerator gen(space);
+    Rng rng(11);
+    std::vector<int> rows;
+    gen.generateInto(space.sample(rng), rng, rows);
+    bo::SoaPoints block;
+    block.assignShares(rows, space.numJobs(), p.numResources());
+    ASSERT_EQ(block.count(), rows.size() / space.rowSize());
+    ASSERT_EQ(block.dims(), space.rowSize());
+    for (std::size_t c = 0; c < block.count(); ++c) {
+        const RealVec want = gen.configurationAt(rows, c).normalizedVector();
+        for (std::size_t d = 0; d < block.dims(); ++d)
+            ASSERT_EQ(std::memcmp(&block.dim(d)[c], &want[d], sizeof(double)),
+                      0)
+                << "point " << c << " dim " << d;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(SuiteShapes, CandidateRounds,
+                         ::testing::ValuesIn(kSuiteShapes));
 
 } // namespace
 } // namespace satori

@@ -8,12 +8,15 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 #include <gtest/gtest.h>
 
+#include "satori/common/logging.hpp"
 #include "satori/config/configuration.hpp"
 #include "satori/config/platform.hpp"
 #include "satori/core/telemetry_guard.hpp"
+#include "satori/persist/codec.hpp"
 
 namespace satori {
 namespace core {
@@ -223,6 +226,36 @@ TEST(TelemetryGuardTest, ResetForgetsHistory)
     auto obs = makeObs(42.0, 1.0, t);
     EXPECT_EQ(guard.filter(obs), SampleHealth::Healthy);
     EXPECT_DOUBLE_EQ(obs.ips[0], 42.0);
+}
+
+/** Restore a 2-job guard whose first job's ring is @p window values
+ * at position @p next; the state ends there. */
+std::string
+restoreRingError(std::size_t window, std::size_t next)
+{
+    persist::StateWriter w;
+    w.putSize(2);
+    w.putDoubleVec(std::vector<double>(window, 1.0));
+    w.putSize(next);
+    TelemetryGuard guard(2);
+    persist::StateReader r(w.bytes(), "guard");
+    try {
+        guard.restoreState(r);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TelemetryGuardTest, RestoreRejectsRingOutsideWindow)
+{
+    // The median works on a fixed 11-value scratch and the ring writes
+    // window[next], so a snapshot with a longer window or a position
+    // past the ring must be refused, not read or written past.
+    EXPECT_NE(restoreRingError(12, 0).find("window of 12 values"),
+              std::string::npos);
+    EXPECT_NE(restoreRingError(11, 11).find("ring position 11"),
+              std::string::npos);
 }
 
 } // namespace
