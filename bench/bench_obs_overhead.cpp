@@ -1,16 +1,11 @@
 /**
  * @file
  * Observability overhead: the Fig. 7-style SATORI run timed with the
- * obs layer off, with metrics only, with full span tracing plus the
- * decision-audit channel, and with the whole live telemetry plane up
- * (stats history + SLO watchdog + HTTP exporter being scraped at
- * 1 Hz). The controller's 100 ms decision loop must not notice its
- * own instrumentation: the run fails (non-zero exit) if
- *
- *   - full observability costs more than 5% wall-clock over the
- *     uninstrumented run, or
- *   - the live plane under 1 Hz scraping costs more than 5% of one
- *     100 ms control interval (5 ms) per interval.
+ * obs layer off, with metrics only, and with full span tracing plus
+ * the decision-audit channel. The controller's 100 ms decision loop
+ * must not notice its own instrumentation: the run fails (non-zero
+ * exit) if full observability costs more than 5% wall-clock over the
+ * uninstrumented run.
  *
  * Timing uses obs::steadyNowNs() - the steady-clock read lives in the
  * allowlisted obs layer, not here.
@@ -18,12 +13,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "bench_util.hpp"
-#include "satori/obs/http_exporter.hpp"
 
 using namespace satori;
 
@@ -34,7 +25,6 @@ enum class ObsMode
     Off,
     MetricsOnly,
     Full,
-    Live,
 };
 
 const char*
@@ -47,8 +37,6 @@ modeName(ObsMode mode)
         return "metrics only";
       case ObsMode::Full:
         return "full (spans+metrics+audit)";
-      case ObsMode::Live:
-        return "live (full+history+slo+http @1Hz)";
     }
     return "?";
 }
@@ -61,20 +49,9 @@ runOnce(ObsMode mode, Seconds duration)
     o.resetAll();
     if (mode != ObsMode::Off)
         o.setMetricsEnabled(true);
-    if (mode == ObsMode::Full || mode == ObsMode::Live) {
+    if (mode == ObsMode::Full) {
         o.tracer().setEnabled(true);
         o.audit().setEnabled(true);
-    }
-    std::optional<obs::HttpExporter> exporter;
-    if (mode == ObsMode::Live) {
-        o.setLiveEnabled(true);
-        o.history().setEnabled(true);
-        // A rule that never breaches, so the watchdog pays its full
-        // evaluation cost every interval without aborting anything.
-        o.watchdog().configure(
-            obs::SloSpec::parse("facts.throughput < 0.0 for 5\n"));
-        exporter.emplace(o);
-        exporter->start(obs::HttpExporterOptions{});
     }
 
     const PlatformSpec platform = PlatformSpec::paperTestbed();
@@ -85,16 +62,8 @@ runOnce(ObsMode mode, Seconds duration)
     opt.duration = duration;
 
     const std::uint64_t t0 = obs::steadyNowNs();
-    {
-        std::optional<obs::PeriodicScraper> scraper;
-        if (mode == ObsMode::Live)
-            scraper.emplace(exporter->port(), "/metrics", 1000);
-        (void)harness::ExperimentRunner(opt).run(server, *policy,
-                                                 mix.label);
-    }
+    (void)harness::ExperimentRunner(opt).run(server, *policy, mix.label);
     const std::uint64_t t1 = obs::steadyNowNs();
-    if (exporter)
-        exporter->stop();
     o.resetAll();
     return static_cast<double>(t1 - t0) / 1e9;
 }
@@ -116,8 +85,8 @@ main(int argc, char** argv)
 {
     const auto opt = bench::parseArgs(argc, argv);
     bench::banner(
-        "Observability overhead: SATORI run, obs off vs on vs live",
-        "Gates: full obs < 5% wall-clock; live plane < 5ms/interval.",
+        "Observability overhead: SATORI run, obs off vs metrics vs full",
+        "Gate: full obs < 5% wall-clock.",
         opt);
 
     const Seconds duration = opt.full ? 60.0 : 20.0;
@@ -129,7 +98,6 @@ main(int argc, char** argv)
     const double t_metrics =
         bestOf(ObsMode::MetricsOnly, duration, repeats);
     const double t_full = bestOf(ObsMode::Full, duration, repeats);
-    const double t_live = bestOf(ObsMode::Live, duration, repeats);
 
     auto pct_over = [&](double t) {
         return 100.0 * (t - t_off) / t_off;
@@ -150,38 +118,17 @@ main(int argc, char** argv)
                   TablePrinter::num(t_full, 4),
                   TablePrinter::num(pct_over(t_full), 2),
                   TablePrinter::num(ms_per_interval(t_full), 4)});
-    table.addRow({modeName(ObsMode::Live),
-                  TablePrinter::num(t_live, 4),
-                  TablePrinter::num(pct_over(t_live), 2),
-                  TablePrinter::num(ms_per_interval(t_live), 4)});
     table.print();
 
-    bool failed = false;
     const double overhead_pct = pct_over(t_full);
     if (overhead_pct >= 5.0) {
         std::printf("\nFAIL: full observability overhead %.2f%% >= "
                     "5%% budget\n",
                     overhead_pct);
-        failed = true;
-    } else {
-        std::printf("\nOK: full observability overhead %.2f%% < 5%% "
-                    "budget\n",
-                    overhead_pct);
+        return 1;
     }
-
-    // The live-plane gate is absolute: the added cost per 100 ms
-    // control interval must stay under 5% of the interval (5 ms),
-    // scraper included.
-    const double live_ms = ms_per_interval(t_live);
-    if (live_ms >= 5.0) {
-        std::printf("FAIL: live telemetry plane costs %.4f ms per "
-                    "100 ms interval >= 5 ms budget\n",
-                    live_ms);
-        failed = true;
-    } else {
-        std::printf("OK: live telemetry plane costs %.4f ms per "
-                    "100 ms interval < 5 ms budget\n",
-                    live_ms);
-    }
-    return failed ? 1 : 0;
+    std::printf("\nOK: full observability overhead %.2f%% < 5%% "
+                "budget\n",
+                overhead_pct);
+    return 0;
 }

@@ -13,10 +13,9 @@
  * run without recompiling. The ring's capacity defaults high enough
  * that normal runs keep everything, but a long-lived daemon can never
  * grow the channel without limit: once full, the oldest record is
- * dropped for each new one and dropped() counts the loss. The newest
- * records also serve the exporter's `/audit/tail` endpoint. The
- * channel is observability only: the controller writes records, never
- * reads them back.
+ * dropped for each new one and dropped() counts the loss. The channel
+ * is observability only: the controller writes records, never reads
+ * them back.
  */
 
 #ifndef SATORI_OBS_AUDIT_HPP
@@ -69,12 +68,12 @@ struct DecisionRecord
  * Lines. Disabled by default; a disabled channel's emit() sites take
  * one branch.
  *
- * Thread-safety: emit(), jsonLines(), tailJsonLines(), size(),
- * dropped(), and clear() are serialized by an internal mutex so
- * concurrent controllers (one per simulated node) can share a channel
- * while the HTTP exporter tails it. setEnabled(), setCapacity(), and
- * the bulk records() accessor are configuration/post-run surfaces:
- * call them while no other thread is emitting.
+ * Thread-safety: emit(), jsonLines(), size(), dropped(), and clear()
+ * are serialized by an internal mutex so concurrent controllers (one
+ * per simulated node) can share a channel. setEnabled(),
+ * setCapacity(), and the bulk records() accessor are
+ * configuration/post-run surfaces: call them while no other thread
+ * is emitting.
  */
 class DecisionAuditChannel
 {
@@ -124,9 +123,6 @@ class DecisionAuditChannel
 
     /** All retained records as JSON Lines (one object per line). */
     [[nodiscard]] std::string jsonLines() const;
-
-    /** The newest @p n records as JSON Lines (oldest of them first). */
-    [[nodiscard]] std::string tailJsonLines(std::size_t n) const;
 
     /** Write jsonLines() to @p path. @throws FatalError. */
     void writeJsonl(const std::string& path) const;

@@ -502,12 +502,9 @@ SatoriController::emitObsAudit(const IntervalObservation& observation,
                                const char* outcome) const
 {
 #if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
-    satori::obs::Observability& ctx = satori::obs::observability();
-    satori::obs::DecisionAuditChannel& channel = ctx.audit();
-    // The record feeds two one-way sinks: the audit ring and the live
-    // plane's /healthz + facts.* history series. Build it if either
-    // wants it.
-    if (!channel.enabled() && !ctx.liveEnabled())
+    satori::obs::DecisionAuditChannel& channel =
+        satori::obs::observability().audit();
+    if (!channel.enabled())
         return;
     satori::obs::DecisionRecord rec;
     rec.interval = decide_calls_ - 1;
@@ -541,10 +538,7 @@ SatoriController::emitObsAudit(const IntervalObservation& observation,
     rec.proxy_change_pct = diagnostics_.proxy_change_pct;
     rec.chosen_config = decision.toString();
     rec.outcome = outcome;
-    if (ctx.liveEnabled())
-        ctx.noteDecision(rec);
-    if (channel.enabled())
-        channel.emit(std::move(rec));
+    channel.emit(std::move(rec));
 #else
     (void)observation;
     (void)health;

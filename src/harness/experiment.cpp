@@ -237,14 +237,6 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             options_.trace->write(rec);
         }
 
-        // Live telemetry plane: one history row + one watchdog pass
-        // per interval, after the decision and trace write so nothing
-        // here can feed back into them. (`obs` is the interval
-        // observation; the namespace needs full qualification.)
-        SATORI_OBS_HOOK(::satori::obs::observability().onHarnessInterval(
-            static_cast<std::uint64_t>(step), obs.time, obs.ips, t_norm,
-            f_norm));
-
         if (obs.time - last_reset >= kBaselineResetPeriod) {
             monitor.resetBaseline();
             last_reset = obs.time;

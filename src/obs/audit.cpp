@@ -135,17 +135,6 @@ DecisionAuditChannel::jsonLines() const
     return out;
 }
 
-std::string
-DecisionAuditChannel::tailJsonLines(std::size_t n) const
-{
-    common::MutexLock lock(mutex_);
-    std::string out;
-    const std::size_t take = n < records_.size() ? n : records_.size();
-    for (std::size_t i = records_.size() - take; i < records_.size(); ++i)
-        out += recordJson(records_[i]) + "\n";
-    return out;
-}
-
 void
 DecisionAuditChannel::writeJsonl(const std::string& path) const
 {

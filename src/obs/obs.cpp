@@ -1,38 +1,7 @@
 #include "satori/obs/obs.hpp"
 
-#include <iomanip>
-#include <sstream>
-
-#include "satori/common/logging.hpp"
-
 namespace satori {
 namespace obs {
-
-namespace {
-
-/** Deterministic double formatting (matches registry exports). */
-std::string
-formatNumber(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(10) << value;
-    return out.str();
-}
-
-/** Numeric encoding of a guard verdict for the facts.guard series. */
-double
-guardVerdictValue(const std::string& verdict)
-{
-    if (verdict == "healthy")
-        return 1.0;
-    if (verdict == "repaired")
-        return 2.0;
-    if (verdict == "unusable")
-        return 3.0;
-    return 0.0; // "off" or not yet reported.
-}
-
-} // namespace
 
 LibraryMetrics::LibraryMetrics(MetricsRegistry& registry)
     : controller_decisions(registry.counter(
@@ -107,12 +76,6 @@ LibraryMetrics::LibraryMetrics(MetricsRegistry& registry)
       persist_snapshot_bytes(registry.counter(
           "satori.persist.snapshot_bytes",
           "Total snapshot payload bytes written")),
-      slo_breaches(registry.counter(
-          "satori.slo.breaches",
-          "SLO watchdog rules that entered breach")),
-      http_requests(registry.counter(
-          "satori.http.requests",
-          "HTTP requests served by the embedded exporter")),
       bo_samples(registry.gauge(
           "satori.bo.samples",
           "Proxy-model training-set size after the last update")),
@@ -150,137 +113,6 @@ Observability::instance()
     return ctx;
 }
 
-const char*
-HealthView::status() const
-{
-    if (slo_breaching > 0)
-        return "breaching";
-    if (degraded)
-        return "degraded";
-    return "ok";
-}
-
-bool
-HealthView::ok() const
-{
-    return slo_breaching == 0 && !degraded;
-}
-
-std::string
-HealthView::toJson() const
-{
-    std::ostringstream out;
-    out << "{\"status\":\"" << status() << "\""
-        << ",\"intervals\":" << intervals
-        << ",\"last_interval\":" << last_interval
-        << ",\"time\":" << formatNumber(time)
-        << ",\"have_decision\":" << (have_decision ? "true" : "false")
-        << ",\"guard_verdict\":\"" << guard_verdict << "\""
-        << ",\"degraded\":" << (degraded ? "true" : "false")
-        << ",\"settled\":" << (settled ? "true" : "false")
-        << ",\"objective\":" << formatNumber(objective)
-        << ",\"slo_rules\":" << slo_rules
-        << ",\"slo_breaching\":" << slo_breaching
-        << ",\"slo_breaches\":" << slo_breaches
-        << ",\"history_enabled\":" << (history_enabled ? "true" : "false")
-        << ",\"history_snapshots\":" << history_snapshots
-        << ",\"history_evicted\":" << history_evicted << "}";
-    return out.str();
-}
-
-void
-Observability::noteDecision(const DecisionRecord& record)
-{
-    common::MutexLock lock(live_mutex_);
-    last_decision_ = record;
-    have_decision_ = true;
-}
-
-void
-Observability::onHarnessInterval(std::uint64_t interval, double time,
-                                 const std::vector<double>& ips,
-                                 double throughput, double fairness)
-{
-    if (!live_enabled_)
-        return;
-
-    // Per-interval facts: the harness-side goal values plus the
-    // controller's last reported decision state.
-    std::vector<std::pair<std::string, double>> facts;
-    facts.reserve(12);
-    double ips_sum = 0.0;
-    for (double v : ips)
-        ips_sum += v;
-    facts.emplace_back("facts.throughput", throughput);
-    facts.emplace_back("facts.fairness", fairness);
-    facts.emplace_back("facts.ips_mean",
-                       ips.empty()
-                           ? 0.0
-                           : ips_sum / static_cast<double>(ips.size()));
-    {
-        common::MutexLock lock(live_mutex_);
-        ++live_intervals_;
-        live_last_interval_ = interval;
-        live_time_ = time;
-        if (have_decision_) {
-            facts.emplace_back("facts.objective", last_decision_.objective);
-            facts.emplace_back("facts.w_t", last_decision_.w_t);
-            facts.emplace_back("facts.w_f", last_decision_.w_f);
-            facts.emplace_back("facts.degraded",
-                               last_decision_.degraded ? 1.0 : 0.0);
-            facts.emplace_back("facts.settled",
-                               last_decision_.settled ? 1.0 : 0.0);
-            facts.emplace_back(
-                "facts.guard",
-                guardVerdictValue(last_decision_.guard_verdict));
-            facts.emplace_back(
-                "facts.bo_samples",
-                static_cast<double>(last_decision_.bo_samples));
-        }
-    }
-
-    if (history_.enabled())
-        history_.record(time, interval, metrics_.snapshot(), facts);
-
-    if (watchdog_.enabled()) {
-        const std::vector<SloEvent> fired =
-            watchdog_.evaluate(history_, time, interval);
-        if (!fired.empty())
-            lib_.slo_breaches.inc(fired.size());
-        if (!fired.empty() && watchdog_.fatalOnBreach())
-            SATORI_FATAL("SLO breach: " + fired.front().rule.toString() +
-                         " (value " + formatNumber(fired.front().value) +
-                         " at interval " +
-                         std::to_string(fired.front().interval) + ")");
-    }
-}
-
-HealthView
-Observability::healthView() const
-{
-    HealthView view;
-    {
-        common::MutexLock lock(live_mutex_);
-        view.intervals = live_intervals_;
-        view.last_interval = live_last_interval_;
-        view.time = live_time_;
-        view.have_decision = have_decision_;
-        if (have_decision_) {
-            view.guard_verdict = last_decision_.guard_verdict;
-            view.degraded = last_decision_.degraded;
-            view.settled = last_decision_.settled;
-            view.objective = last_decision_.objective;
-        }
-    }
-    view.slo_rules = watchdog_.spec().rules().size();
-    view.slo_breaching = watchdog_.breaching();
-    view.slo_breaches = watchdog_.breachCount();
-    view.history_enabled = history_.enabled();
-    view.history_snapshots = history_.snapshots();
-    view.history_evicted = history_.evicted();
-    return view;
-}
-
 void
 Observability::resetAll()
 {
@@ -290,20 +122,7 @@ Observability::resetAll()
     audit_.clear();
     audit_.setEnabled(false);
     audit_.setCapacity(DecisionAuditChannel::kDefaultCapacity);
-    history_.clear();
-    history_.setEnabled(false);
-    history_.configure(StatsHistoryOptions{});
-    watchdog_.clear();
     metrics_enabled_ = false;
-    live_enabled_ = false;
-    {
-        common::MutexLock lock(live_mutex_);
-        live_intervals_ = 0;
-        live_last_interval_ = 0;
-        live_time_ = 0.0;
-        have_decision_ = false;
-        last_decision_ = DecisionRecord{};
-    }
 }
 
 Observability&

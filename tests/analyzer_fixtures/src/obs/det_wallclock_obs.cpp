@@ -1,7 +1,7 @@
 // Fixture: identical clock reads to det_wallclock_bad.cpp at a path
-// under src/obs/ that is NOT one of the named allowlist entries
-// (obs/tracer, obs/http_exporter, obs/stats_history) - proving the
-// allowlist covers exactly those sources, not the whole obs layer.
+// under src/obs/ that is NOT the named allowlist entry (obs/tracer) -
+// proving the allowlist covers exactly that source, not the whole obs
+// layer.
 #include <chrono>
 #include <ctime>
 

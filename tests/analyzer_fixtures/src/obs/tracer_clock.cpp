@@ -1,7 +1,6 @@
 // Fixture: identical clock reads to det_wallclock_bad.cpp, but the
-// path matches the obs/stats_history allowlist entry (the history
-// store may stamp wall-clock retention ages), so det-wallclock stays
-// silent.
+// path matches the obs/tracer allowlist entry (span timing reads the
+// steady clock), so det-wallclock stays silent.
 #include <chrono>
 #include <ctime>
 

@@ -117,20 +117,18 @@ TEST(AnalyzerRules, GoodFixturesAreClean)
 TEST(AnalyzerRules, WallclockAllowlistCoversNamedObsSourcesOnly)
 {
     // The same clock-reading code analyzed three ways. The allowlist
-    // names exactly the obs sources with a wall-clock surface
-    // (obs/tracer, obs/http_exporter, obs/stats_history): a path
-    // matching one of them is exempt ...
-    const auto allowed =
-        analyzeFixture("src/obs/stats_history_clock.cpp");
+    // names exactly the obs source with a wall-clock surface
+    // (obs/tracer): a path matching it is exempt ...
+    const auto allowed = analyzeFixture("src/obs/tracer_clock.cpp");
     EXPECT_EQ(countActive(allowed), 0u)
-        << "obs/stats_history fixture should be allowlisted; first "
+        << "obs/tracer fixture should be allowlisted; first "
            "finding: "
         << (allowed.empty() ? std::string("none")
                             : allowed.front().rule + ": " +
                                   allowed.front().message);
     // ... while merely living under src/obs/ is no longer enough -
-    // the registry/audit/watchdog side of the layer runs on
-    // simulated time and det-wallclock still fires there ...
+    // the registry/audit side of the layer runs on simulated time
+    // and det-wallclock still fires there ...
     const auto inside_obs =
         activeRules(analyzeFixture("src/obs/det_wallclock_obs.cpp"));
     EXPECT_EQ(inside_obs, std::set<std::string>{"det-wallclock"})

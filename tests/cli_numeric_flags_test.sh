@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Numeric-flag validation drill for satori_sim.
+# Flag-value validation drill for satori_sim.
 #
-# Every numeric flag goes through one checked parser: a token that is
-# not a whole number, or lies outside the flag's range, must exit 2
-# with "invalid value for --<flag>: <token>" before anything runs.
+# Every numeric flag goes through one checked parser, and every
+# fixed-choice flag (output formats) through another: a token that is
+# not a whole number, lies outside the flag's range, or is not one of
+# the flag's choices must exit 2 with "invalid value for --<flag>:
+# <token>" before anything runs.
 #
 # Usage: cli_numeric_flags_test.sh <path-to-satori_sim>
 set -u
@@ -35,12 +37,14 @@ expect_invalid --duration abc  # bad real
 expect_invalid --duration -5   # negative duration
 expect_invalid --duration 0    # durations must be positive
 expect_invalid --seed -1       # seeds must be non-negative
+expect_invalid --trace-format json    # only csv | jsonl
+expect_invalid --metrics-format json  # only prom | jsonl
 
 # A well-formed run still goes through.
 "$SIM" "${RUN_ARGS[@]}" --duration 1.5 --seed 0 --noise 0 > /dev/null \
     || fail "valid numeric flags: exited $?"
 
 if [ "$FAIL" -eq 0 ]; then
-    echo "numeric flag drill: all invalid values rejected with exit 2"
+    echo "flag value drill: all invalid values rejected with exit 2"
 fi
 exit "$FAIL"

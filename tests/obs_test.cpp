@@ -354,25 +354,6 @@ TEST(DecisionAuditTest, BoundedRingEvictsOldestAndCountsDrops)
     EXPECT_EQ(channel.dropped(), 0u);
 }
 
-TEST(DecisionAuditTest, TailJsonLinesReturnsNewestRecords)
-{
-    DecisionAuditChannel channel;
-    channel.setEnabled(true);
-    for (std::size_t i = 0; i < 4; ++i) {
-        DecisionRecord rec = sampleDecision();
-        rec.interval = i;
-        channel.emit(std::move(rec));
-    }
-
-    const std::string tail = channel.tailJsonLines(2);
-    EXPECT_EQ(tail.find("\"interval\":0"), std::string::npos);
-    EXPECT_EQ(tail.find("\"interval\":1"), std::string::npos);
-    EXPECT_NE(tail.find("\"interval\":2"), std::string::npos);
-    EXPECT_NE(tail.find("\"interval\":3"), std::string::npos);
-    // n >= size returns everything, identically to jsonLines().
-    EXPECT_EQ(channel.tailJsonLines(99), channel.jsonLines());
-}
-
 TEST(DecisionAuditTest, WriteJsonlRoundTrips)
 {
     DecisionAuditChannel channel;

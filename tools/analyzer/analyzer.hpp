@@ -117,23 +117,19 @@ struct Options
 
     /**
      * Path substrings (generic separators) where wall-clock reads are
-     * legitimate: interactive CLI entry points and bench harness
-     * timing. Everything else must use simulated time.
+     * legitimate: the analyzer's own timing, bench harness timing and
+     * span timing. Everything else must use simulated time.
      */
     std::vector<std::string> wallclock_allow = {
-        "tools/satori_sim.cpp",
         // The analyzer driver times its own scan for --stats; the
         // reading never reaches a simulation artifact.
         "tools/satori_analyzer.cpp",
         "bench/bench_util",
-        // Exactly the obs sources with a legitimate wall-clock /
-        // syscall surface: span timing, the socket-serving exporter,
-        // and the history store. The rest of the obs layer (registry,
-        // audit, watchdog, the Observability context) runs on
-        // simulated time and is NOT exempt.
+        // Exactly the obs source with a legitimate wall-clock
+        // surface: span timing. The rest of the obs layer (registry,
+        // audit, the Observability context) runs on simulated time
+        // and is NOT exempt.
         "obs/tracer",
-        "obs/http_exporter",
-        "obs/stats_history",
     };
 
     /**
@@ -162,10 +158,6 @@ struct Options
         // The analyzer's own tree scan claims files from a small
         // worker pool; it cannot depend on the satori library.
         "tools/analyzer/engine.cpp",
-        // The embedded HTTP exporter's serving/scraper threads block
-        // in poll()/accept(); pool workers must stay available for
-        // deterministic decision-path work.
-        "obs/http_exporter",
     };
 
     /**

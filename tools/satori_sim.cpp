@@ -16,21 +16,19 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "satori/satori.hpp"
 #include "satori/common/io.hpp"
-#include "satori/obs/http_exporter.hpp"
 #include "satori/persist/checkpoint.hpp"
 
 using namespace satori;
@@ -58,14 +56,6 @@ struct CliArgs
     std::string metrics_format = "prom";
     std::string trace_out;
     std::string audit_out;
-    int serve_metrics = -1; ///< -1 = off; 0 = ephemeral port.
-    int pace_ms = 0;        ///< Wall-clock ms slept per interval.
-    std::size_t history_capacity = 4096;
-    double history_age = 0.0;    ///< Seconds; 0 = unlimited.
-    std::size_t history_bytes = 0; ///< 0 = unlimited.
-    std::string history_out;
-    std::string slo_spec_file;
-    bool slo_fatal = false;
     std::size_t audit_capacity = 0; ///< 0 = keep the default.
     std::string fault_plan_file;
     std::string fault_preset;
@@ -135,28 +125,14 @@ printUsage()
         "  --audit-out FILE      write per-decision audit records "
         "(JSONL)\n"
         "  --audit-capacity N    bound the in-memory audit ring "
-        "(default 65536)\n\n"
-        "live telemetry plane (GUIDE.md sec. 15):\n"
-        "  --serve-metrics PORT  embedded HTTP exporter on loopback\n"
-        "                        (0 = ephemeral; the bound port is\n"
-        "                        printed before the run starts)\n"
-        "  --history-capacity N  retained history snapshots "
-        "(default 4096)\n"
-        "  --history-age S       drop history older than S seconds\n"
-        "  --history-bytes B     approximate history byte budget\n"
-        "  --history-out FILE    dump the retained history as JSON\n"
-        "  --slo-spec FILE       SLO watchdog rules, one per line:\n"
-        "                        <metric> <op> <threshold> for <k>\n"
-        "  --slo-fatal           exit nonzero on any SLO breach\n"
-        "  --pace MS             sleep MS wall-clock ms per interval\n"
-        "                        (lets scrapers observe a live run)\n");
+        "(default 65536)\n");
 }
 
 /** The values a numeric flag accepts. */
 enum class Bound
 {
     Positive,    ///< > 0: durations, job and resource counts.
-    NonNegative, ///< >= 0: seeds, ports, indices, 0-means-off knobs.
+    NonNegative, ///< >= 0: seeds, indices, 0-means-off knobs.
 };
 
 /**
@@ -182,6 +158,24 @@ parseNumber(const std::string& flag, const char* token, Bound bound, T& out)
     }
     out = value;
     return true;
+}
+
+/**
+ * Accept @p token only if it is one of @p allowed; otherwise print
+ * "invalid value for <flag>: <token>".
+ */
+bool
+parseChoice(const std::string& flag, const char* token,
+            std::initializer_list<const char*> allowed, std::string& out)
+{
+    for (const char* choice : allowed) {
+        if (std::strcmp(token, choice) == 0) {
+            out = token;
+            return true;
+        }
+    }
+    std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), token);
+    return false;
 }
 
 std::optional<CliArgs>
@@ -289,17 +283,18 @@ parse(int argc, char** argv)
                 return std::nullopt;
             args.trace_path = v;
         } else if (flag == "--trace-format") {
-            if (!(v = need_value(i)))
+            if (!(v = need_value(i)) ||
+                !parseChoice(flag, v, {"csv", "jsonl"}, args.trace_format))
                 return std::nullopt;
-            args.trace_format = v;
         } else if (flag == "--metrics-out") {
             if (!(v = need_value(i)))
                 return std::nullopt;
             args.metrics_out = v;
         } else if (flag == "--metrics-format") {
-            if (!(v = need_value(i)))
+            if (!(v = need_value(i)) ||
+                !parseChoice(flag, v, {"prom", "jsonl"},
+                             args.metrics_format))
                 return std::nullopt;
-            args.metrics_format = v;
         } else if (flag == "--trace-out") {
             if (!(v = need_value(i)))
                 return std::nullopt;
@@ -311,31 +306,6 @@ parse(int argc, char** argv)
         } else if (flag == "--audit-capacity") {
             if (!number(i, Bound::NonNegative, args.audit_capacity))
                 return std::nullopt;
-        } else if (flag == "--serve-metrics") {
-            if (!number(i, Bound::NonNegative, args.serve_metrics))
-                return std::nullopt;
-        } else if (flag == "--pace") {
-            if (!number(i, Bound::NonNegative, args.pace_ms))
-                return std::nullopt;
-        } else if (flag == "--history-capacity") {
-            if (!number(i, Bound::NonNegative, args.history_capacity))
-                return std::nullopt;
-        } else if (flag == "--history-age") {
-            if (!number(i, Bound::NonNegative, args.history_age))
-                return std::nullopt;
-        } else if (flag == "--history-bytes") {
-            if (!number(i, Bound::NonNegative, args.history_bytes))
-                return std::nullopt;
-        } else if (flag == "--history-out") {
-            if (!(v = need_value(i)))
-                return std::nullopt;
-            args.history_out = v;
-        } else if (flag == "--slo-spec") {
-            if (!(v = need_value(i)))
-                return std::nullopt;
-            args.slo_spec_file = v;
-        } else if (flag == "--slo-fatal") {
-            args.slo_fatal = true;
         } else {
             std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
             return std::nullopt;
@@ -386,14 +356,6 @@ main(int argc, char** argv)
         std::fprintf(stderr, "--kill-torn requires --kill-at\n");
         return 2;
     }
-    if (args.slo_fatal && args.slo_spec_file.empty()) {
-        std::fprintf(stderr, "--slo-fatal requires --slo-spec\n");
-        return 2;
-    }
-    if (args.serve_metrics > 65535) {
-        std::fprintf(stderr, "--serve-metrics: port out of range\n");
-        return 2;
-    }
     if (!args.checkpoint_dir.empty() && args.compare_oracle) {
         // The oracle run would re-enter the same checkpoint directory
         // with a different policy's decision stream.
@@ -414,8 +376,6 @@ main(int argc, char** argv)
             validateOutputFile("--trace-out", args.trace_out);
         if (!args.audit_out.empty())
             validateOutputFile("--audit-out", args.audit_out);
-        if (!args.history_out.empty())
-            validateOutputFile("--history-out", args.history_out);
         if (!args.checkpoint_dir.empty())
             validateOutputDir("--checkpoint-dir", args.checkpoint_dir);
 
@@ -509,14 +469,10 @@ main(int argc, char** argv)
             opt.faults = &*injector;
         }
 
-        // --- Observability (spans / metrics / decision audit / live
-        // telemetry plane) --------------------------------------------
-        const bool live_wanted = args.serve_metrics >= 0 ||
-                                 !args.history_out.empty() ||
-                                 !args.slo_spec_file.empty();
+        // --- Observability (spans / metrics / decision audit) --------
         const bool obs_wanted = !args.metrics_out.empty() ||
                                 !args.trace_out.empty() ||
-                                !args.audit_out.empty() || live_wanted;
+                                !args.audit_out.empty();
         if (obs_wanted) {
 #if !(defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED)
             std::fprintf(stderr,
@@ -532,51 +488,7 @@ main(int argc, char** argv)
                 o.audit().setEnabled(true);
             if (args.audit_capacity > 0)
                 o.audit().setCapacity(args.audit_capacity);
-            if (live_wanted) {
-                // The live plane wants real counters in its history
-                // rows and decision facts for /healthz, so metrics
-                // and the per-interval hook both come on.
-                o.setMetricsEnabled(true);
-                o.setLiveEnabled(true);
-                obs::StatsHistoryOptions hopt;
-                hopt.capacity = args.history_capacity;
-                hopt.max_age_seconds = args.history_age;
-                hopt.max_bytes = args.history_bytes;
-                o.history().configure(hopt);
-                o.history().setEnabled(true);
-                if (!args.slo_spec_file.empty()) {
-                    o.watchdog().configure(
-                        obs::SloSpec::loadFile(args.slo_spec_file));
-                    o.watchdog().setFatalOnBreach(args.slo_fatal);
-                }
-                // Scrapers expect /audit/tail to have content.
-                if (args.serve_metrics >= 0)
-                    o.audit().setEnabled(true);
-            }
         }
-
-        // --- Embedded HTTP exporter ----------------------------------
-        std::optional<obs::HttpExporter> exporter;
-        if (args.serve_metrics >= 0) {
-            exporter.emplace(obs::observability());
-            obs::HttpExporterOptions eopt;
-            eopt.port = static_cast<std::uint16_t>(args.serve_metrics);
-            exporter->start(eopt);
-            // Scripts parse this line to find an ephemeral port; it
-            // must land before the run starts.
-            std::printf("serving metrics on http://127.0.0.1:%u\n",
-                        static_cast<unsigned>(exporter->port()));
-            std::fflush(stdout);
-        }
-
-        // --- Pacing (wall-clock; lets live scrapers watch the run) ---
-        if (args.pace_ms > 0)
-            opt.on_interval = [pace = args.pace_ms](
-                                  const sim::IntervalObservation&, double,
-                                  double) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(pace));
-            };
 
         std::optional<harness::TraceWriter> trace;
         if (!args.trace_path.empty()) {
@@ -733,48 +645,15 @@ main(int argc, char** argv)
                                 audit.dropped()),
                             audit.capacity());
         }
-        if (!args.history_out.empty()) {
-            obs::StatsHistory& history = obs::observability().history();
-            atomicWriteFile(args.history_out, history.toJson());
-            std::printf(
-                "\nhistory: %zu snapshots (%llu evicted) -> %s\n",
-                history.snapshots(),
-                static_cast<unsigned long long>(history.evicted()),
-                args.history_out.c_str());
-        }
-        if (!args.slo_spec_file.empty()) {
-            obs::Watchdog& watchdog = obs::observability().watchdog();
-            std::printf("\nslo: %zu rules, %llu breach events, "
-                        "%zu currently in breach\n",
-                        watchdog.spec().rules().size(),
-                        static_cast<unsigned long long>(
-                            watchdog.breachCount()),
-                        watchdog.breaching());
-            if (watchdog.breachCount() > 0)
-                std::fputs(watchdog.eventsJsonl().c_str(), stdout);
-        }
-        if (exporter) {
-            exporter->stop();
-            std::printf("exporter: %llu http requests served\n",
-                        static_cast<unsigned long long>(
-                            obs::observability()
-                                .lib()
-                                .http_requests.value()));
-        }
         return 0;
     } catch (const FatalError& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        // Flush-on-FATAL: an SLO abort (or any other fatal) must not
-        // lose the decisions leading up to it.
+        // Flush-on-FATAL: a run that dies mid-way must not lose the
+        // decisions leading up to the error.
         try {
             if (!args.audit_out.empty() &&
                 obs::observability().audit().size() > 0)
                 obs::observability().audit().writeJsonl(args.audit_out);
-            if (!args.history_out.empty() &&
-                obs::observability().history().snapshots() > 0)
-                atomicWriteFile(
-                    args.history_out,
-                    obs::observability().history().toJson());
         } catch (...) {
             // Best effort only; the original error wins.
         }
